@@ -72,7 +72,11 @@ def _build_parser() -> _Parser:
     s.add_argument("--time-limit", type=float, dest="time_limit")
     s.add_argument("--target", type=int)
     s.add_argument("--exact", action="store_true", help="run to a proven optimum")
-    s.add_argument("--symmetry", action="store_true", help="restrict roots to shape representatives")
+    s.add_argument(
+        "--symmetry",
+        action="store_true",
+        help="symmetry-reduced search; this is the default, the flag is kept for compatibility",
+    )
     s.add_argument("-o", "--output", help="write the best system found to this file")
     s.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -200,7 +204,6 @@ def _cmd_search(args) -> int:
             min_class_size=args.min_class_size,
             time_budget=args.time_limit,
             target=None if args.exact else args.target,
-            symmetry_reduction=args.symmetry,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

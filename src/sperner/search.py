@@ -12,6 +12,20 @@ canonical order, so greedy coloring packs them into few color classes,
 which is what makes the dense instances tractable (the (9,4) graph gets a
 15-color root bound this way).  Coloring below the pruning threshold is
 not recorded, only the vertices that can still extend the incumbent are.
+The search stops, proven, once the incumbent reaches that root bound.
+
+solve_sp also uses the symmetry of the problem.  The candidate set holds
+every k-partition with the allowed class sizes, so it is closed under
+relabeling the ground set, and a relabeled clique is again a clique.  If
+the vertices fall into groups that such relabelings permute, any clique
+meeting a group can be moved to contain the group's first member.  The
+search therefore branches on one representative per group and then drops
+the group, at two levels: the class-size shapes at the root (orbits of
+S_n), and under a root R the orbits of the relabelings that permute
+elements inside each class of R (see _orbit_key).  Groups are visited one
+after another and each is dropped once searched; since every group is
+invariant, the moved clique avoids the dropped groups too, so the pruning
+loses no maximum.
 """
 
 from __future__ import annotations
@@ -189,8 +203,15 @@ def _count_colors(P: int, adj) -> int:
     return colors
 
 
-def _greedy_clique(adj, num: int, tries: int = 24) -> int:
-    """Deterministic greedy lower bound: best clique mask over a few dense seeds."""
+def _greedy_clique(
+    adj, num: int, bound: int, deadline: float | None = None, tries: int = 24
+) -> int:
+    """Deterministic greedy lower bound: best clique mask over a few dense seeds.
+
+    The first try always completes, so a clique is reported even when the
+    deadline has already passed; later tries stop at the deadline or once
+    a clique meets the upper bound.
+    """
     best = 0
     starts = sorted(range(num), key=lambda v: (-adj[v].bit_count(), v))[:tries]
     for s in starts:
@@ -209,11 +230,25 @@ def _greedy_clique(adj, num: int, tries: int = 24) -> int:
             P &= adj[pick]
         if clique.bit_count() > best.bit_count():
             best = clique
+        if best.bit_count() >= bound or (deadline is not None and time.perf_counter() > deadline):
+            break
     return best
 
 
-class _Interrupted(Exception):
-    pass
+def _orbit_key(fixed: tuple[int, ...], classes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Orbit of a partition under the relabelings that fix every class of another.
+
+    fixed are the classes R_1..R_k of the root partition, in their stored
+    order; classes are those of a candidate Q.  The key is the sorted tuple
+    of columns (|R_i & Q_j|)_i over Q's classes j.  Two partitions get the
+    same key iff a permutation inside each R_i maps one onto the other.
+    """
+    return tuple(sorted(tuple((r & c).bit_count() for r in fixed) for c in classes))
+
+
+class _Stop(Exception):
+    def __init__(self, proven: bool):
+        self.proven = proven
 
 
 def max_clique(
@@ -224,34 +259,54 @@ def max_clique(
 ) -> SearchOutcome:
     """Deterministic branch-and-bound maximum clique.
 
-    With no budget and no target the result is a proven maximum.  A
-    target stops the search as soon as a clique of that size is known
-    (proven_optimal stays False unless the search finished anyway); an
-    expired time budget returns the best clique found so far.
+    With no budget and no target the result is a proven maximum.  The
+    search also stops, proven, as soon as the incumbent reaches the root
+    coloring bound.  A target stops the search as soon as a clique of that
+    size is known (proven_optimal stays False unless the search finished
+    anyway); an expired time budget returns the best clique found so far.
 
-    symmetry_reduction explores, at the root, only the first candidate of
-    each class-size shape: any system can be relabeled so that one of its
-    partitions becomes that representative.  It requires the graph's full
-    candidate set and is off by default.
+    symmetry_reduction needs the graph's full candidate set, which is
+    closed under relabeling the ground set, and prunes at two levels:
+
+    * Root: branch only on the first candidate of each class-size shape,
+      then drop that whole shape from the later roots.  Shapes are the
+      orbits of S_n, so any clique can be relabeled to contain the
+      representative of its earliest visited shape and no shape visited
+      before it.
+    * Depth 2: under root R, group the remaining neighbours by _orbit_key,
+      branch only on each group's first member, then drop the group.  The
+      groups are exactly the orbits of the relabelings that fix every class
+      of R; those fix R and its candidate set, so the same argument holds.
+
+    At both levels the groups are visited in descending order of the
+    highest greedy color among their members, so once size plus that color
+    cannot beat the incumbent, no later group can either.
+
+    It is off by default here so the plain search stays available as a
+    cross-check; solve_sp turns it on.
     """
     t0 = time.perf_counter()
     num = graph.num_vertices
     adj = graph.adj
     if num == 0:
         return _outcome(graph, 0, (), True, 0, t0, 0)
+    if symmetry_reduction and graph.candidates is None:
+        raise ValueError("symmetry reduction needs the graph's candidate set")
+    deadline = t0 + time_budget if time_budget is not None else None
     full = (1 << num) - 1
     root_bound = _count_colors(full, adj)
 
-    best_mask = _greedy_clique(adj, num)
-    state = {"best": best_mask.bit_count(), "mask": best_mask, "nodes": 0, "interrupted": False}
+    best_mask = _greedy_clique(adj, num, root_bound, deadline)
+    state = {"best": best_mask.bit_count(), "mask": best_mask, "nodes": 0}
     nadj = [~a for a in adj]
-    deadline = t0 + time_budget if time_budget is not None else None
 
     def check_stop() -> None:
         if target is not None and state["best"] >= target:
-            raise _Interrupted
+            raise _Stop(False)
+        if state["best"] >= root_bound:
+            raise _Stop(True)
         if deadline is not None and state["nodes"] % 2048 == 0 and time.perf_counter() > deadline:
-            raise _Interrupted
+            raise _Stop(False)
 
     def expand(size: int, clique: int, P: int) -> None:
         state["nodes"] += 1
@@ -299,23 +354,60 @@ def max_clique(
                 expand(size + 1, extended, P2)
             P &= ~bit
 
+    def branch_orbits(size: int, clique: int, P: int, key, descend) -> None:
+        """Group P by key; branch on each group's first vertex, then drop the group.
+
+        Groups go in descending order of their highest greedy color, so the
+        color bound prunes the rest as in expand.  descend(size, clique, P)
+        searches below each representative.
+        """
+        groups: dict = {}
+        top: dict = {}
+        color = 0
+        W = P
+        seen = 0
+        while W:
+            color += 1
+            Q = W
+            while Q:
+                lsb = Q & -Q
+                v = lsb.bit_length() - 1
+                Q &= nadj[v]
+                Q ^= lsb
+                W ^= lsb
+                g = key(v)
+                groups[g] = groups.get(g, 0) | lsb
+                top[g] = color
+                seen += 1
+                if deadline is not None and seen % 256 == 0 and time.perf_counter() > deadline:
+                    raise _Stop(False)
+        for g in sorted(groups, key=top.__getitem__, reverse=True):
+            if size + top[g] <= state["best"]:
+                return
+            group = groups[g]
+            bit = group & -group
+            v = bit.bit_length() - 1
+            extended = clique | bit
+            if size + 1 > state["best"]:
+                state["best"] = size + 1
+                state["mask"] = extended
+                check_stop()
+            P2 = P & adj[v]
+            if size + 1 + P2.bit_count() > state["best"]:
+                descend(size + 1, extended, P2)
+            P &= ~group
+
     try:
-        if target is not None and state["best"] >= target:
-            raise _Interrupted
+        check_stop()
         if symmetry_reduction:
-            if graph.candidates is None:
-                raise ValueError("symmetry reduction needs the graph's candidate set")
-            seen_shapes = set()
-            for v, p in enumerate(graph.candidates.partitions):
-                shape = p.sizes
-                if shape in seen_shapes:
-                    continue
-                seen_shapes.add(shape)
-                if 1 > state["best"]:
-                    state["best"], state["mask"] = 1, 1 << v
-                P = adj[v]
-                if P.bit_count() + 1 > state["best"]:
-                    expand(1, 1 << v, P)
+            classes = [p.classes for p in graph.candidates.partitions]
+            sizes = [p.sizes for p in graph.candidates.partitions]
+
+            def depth2(size: int, clique: int, P: int) -> None:
+                fixed = classes[clique.bit_length() - 1]  # clique is the root alone
+                branch_orbits(size, clique, P, lambda v: _orbit_key(fixed, classes[v]), expand)
+
+            branch_orbits(0, 0, full, sizes.__getitem__, depth2)
         else:
             for v in range(num):
                 later = (full >> (v + 1)) << (v + 1)
@@ -323,8 +415,8 @@ def max_clique(
                 if P.bit_count() + 1 > state["best"]:
                     expand(1, 1 << v, P)
         proven = True
-    except _Interrupted:
-        proven = False
+    except _Stop as stop:
+        proven = stop.proven
 
     vertices = tuple(i for i in range(num) if state["mask"] >> i & 1)
     return _outcome(graph, state["best"], vertices, proven, state["nodes"], t0, root_bound)
@@ -391,7 +483,7 @@ def solve_sp(
     min_class_size: int = 2,
     time_budget: float | None = None,
     target: int | None = None,
-    symmetry_reduction: bool = False,
+    symmetry_reduction: bool = True,
 ) -> SearchOutcome:
     """Enumerate candidates, build the graph, run max_clique, verify the witness."""
     candidates = enumerate_partitions(n, k, min_class_size)

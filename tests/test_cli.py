@@ -147,8 +147,8 @@ def test_search_target_met(capsys):
 
 
 def test_search_budget_exhausted_exit_3(capsys):
-    # the (9,4) refutation needs minutes; a one-second budget must cut it off
-    code, out, _ = run(capsys, "search", "--n", "9", "--k", "4", "--time-limit", "1")
+    # proving SP(10,4) = 10 takes far longer; a one-second budget must cut it off
+    code, out, _ = run(capsys, "search", "--n", "10", "--k", "4", "--time-limit", "1")
     assert code == 3
     assert "not proven" in out
 

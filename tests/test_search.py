@@ -1,7 +1,11 @@
 import random
+import time
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sperner import (
     build_graph,
@@ -10,9 +14,12 @@ from sperner import (
     load_fixture,
     max_clique,
     solve_sp,
+    sp_bounds,
     tiny_oracle,
     verify_sperner,
 )
+from sperner.model import Partition
+from sperner.search import _orbit_key
 
 
 def shape_count(n, k, min_size):
@@ -39,6 +46,10 @@ def shape_count(n, k, min_size):
             ways //= factorial(m)
         total += ways
     return total
+
+
+# every (n, k) with n <= 8 that has a candidate with all classes of size >= 2
+GRID_8 = [(n, k) for n in range(2, 9) for k in range(1, n // 2 + 1)]
 
 
 def random_graph(rng, num, p):
@@ -178,13 +189,108 @@ class TestMaxClique:
         assert outcome.size >= 1  # greedy seed still reports a clique
 
     def test_symmetry_reduction_matches_default(self):
-        for n, k in [(6, 3), (7, 3), (5, 2), (8, 4)]:
-            graph = build_graph(enumerate_partitions(n, k, 2))
-            assert max_clique(graph).size == max_clique(graph, symmetry_reduction=True).size
+        # solve_sp reduces by default; max_clique(graph) is the plain search
+        for n, k in GRID_8:
+            reduced = solve_sp(n, k)
+            plain = max_clique(build_graph(enumerate_partitions(n, k, 2)))
+            assert reduced.proven_optimal and plain.proven_optimal
+            assert reduced.size == plain.size, (n, k)
 
     def test_symmetry_reduction_needs_candidates(self):
         with pytest.raises(ValueError, match="candidate set"):
             max_clique(graph_from_edges(3, [(0, 1)]), symmetry_reduction=True)
+
+    def test_stops_at_root_bound(self):
+        # the greedy seed already meets the root coloring bound of 9
+        outcome = max_clique(build_graph(enumerate_partitions(10, 5, 2)))
+        assert (outcome.size, outcome.proven_optimal, outcome.nodes_explored) == (9, True, 0)
+        assert outcome.root_bound == 9
+
+    def test_time_budget_covers_setup(self):
+        graph = build_graph(enumerate_partitions(10, 4, 2))
+        t0 = time.perf_counter()
+        outcome = max_clique(graph, time_budget=0.05)
+        elapsed = time.perf_counter() - t0
+        assert not outcome.proven_optimal
+        assert outcome.size >= 1
+        assert elapsed < 0.35, elapsed
+
+
+def stabilizer_orbits(root, candidates):
+    """Orbits of the candidates under all relabelings fixing every class of root."""
+    n = candidates.n
+    blocks = [list(c) for c in root.class_sets]
+    seen, orbits = set(), []
+    for q in candidates.partitions:
+        if q in seen:
+            continue
+        orbit = set()
+        for images in product(*(permutations(b) for b in blocks)):
+            perm = list(range(n))
+            for block, image in zip(blocks, images):
+                for a, b in zip(block, image):
+                    perm[a] = b
+            orbit.add(Partition(n, [[perm[e] for e in c] for c in q.class_sets], q.k))
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+class TestOrbitKey:
+    @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (7, 3), (8, 3)])
+    def test_key_classes_are_exactly_stabilizer_orbits(self, n, k):
+        candidates = enumerate_partitions(n, k, 2)
+        seen_shapes = set()
+        for root in candidates.partitions:
+            if root.sizes in seen_shapes:
+                continue
+            seen_shapes.add(root.sizes)
+            by_key = {}
+            for q in candidates.partitions:
+                by_key.setdefault(_orbit_key(root.classes, q.classes), set()).add(q)
+            expected = sorted(sorted(map(str, o)) for o in stabilizer_orbits(root, candidates))
+            assert sorted(sorted(map(str, g)) for g in by_key.values()) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_key_invariant_under_class_fixing_relabeling(self, data):
+        n = data.draw(st.integers(4, 12), label="n")
+        k = data.draw(st.integers(2, n // 2), label="k")
+
+        def draw_partition(label):
+            labels = data.draw(st.permutations(range(n)), label=label)
+            cuts = sorted(data.draw(
+                st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True),
+                label=label + " cuts",
+            ))
+            bounds = [0, *cuts, n]
+            return Partition(n, [labels[a:b] for a, b in zip(bounds, bounds[1:])])
+
+        root, q = draw_partition("R"), draw_partition("Q")
+        perm = list(range(n))
+        for c in root.class_sets:
+            for a, b in zip(c, data.draw(st.permutations(c), label="image")):
+                perm[a] = b
+        moved = Partition(n, [[perm[e] for e in c] for c in q.class_sets])
+        assert _orbit_key(root.classes, moved.classes) == _orbit_key(root.classes, q.classes)
+
+
+class TestReducedSearch:
+    @pytest.mark.parametrize(
+        "n,k", [pytest.param(*nk, marks=pytest.mark.slow) if nk == (8, 3) else nk for nk in GRID_8]
+    )
+    def test_matches_oracle(self, n, k):
+        # tiny_oracle has no coloring bound; (8,3) takes it about half a minute
+        graph = build_graph(enumerate_partitions(n, k, 2))
+        assert max_clique(graph, symmetry_reduction=True).size == tiny_oracle(graph), (n, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_n9_matches_exact_bounds(self, k):
+        bounds = sp_bounds(9, k)
+        assert bounds.exact
+        outcome = solve_sp(9, k)
+        assert outcome.proven_optimal
+        assert outcome.size == bounds.lower
 
 
 class TestSolveSp:
