@@ -60,10 +60,8 @@ from .search import (
     SearchOutcome,
     build_graph,
     enumerate_partitions,
-    graph_from_edges,
     max_clique,
     solve_sp,
-    tiny_oracle,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +99,6 @@ __all__ = [
     "fixture_names",
     "fixture_text",
     "format_report",
-    "graph_from_edges",
     "incomparable",
     "is_almost_uniform",
     "known_exact",
@@ -116,7 +113,6 @@ __all__ = [
     "solve_initial_2k1",
     "solve_sp",
     "sp_bounds",
-    "tiny_oracle",
     "validate_partition",
     "verify_sperner",
 ]

@@ -245,7 +245,7 @@ def plan_construction(n: int, k: int) -> tuple[int, tuple]:
 def _materialize(n: int, k: int, route: tuple) -> PartitionSystem:
     tag = route[0]
     if tag == "fixture":
-        return load_fixture(route[1])
+        return _verified(load_fixture(route[1]))
     if tag == "k2":
         return construct_k2(n)
     if tag == "dev-2k1":

@@ -5,6 +5,8 @@ as an int bitmask over the ground set, so containment tests are single
 bitwise operations.  Partitions keep their classes in canonical order
 (size ascending, then smallest element ascending), which makes equality,
 hashing and serialization independent of how the classes were listed.
+containments is the one class-containment index; verify_sperner and
+search.build_graph both read it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Partition",
@@ -21,6 +23,7 @@ __all__ = [
     "mask_of",
     "elements_of",
     "incomparable",
+    "containments",
     "validate_partition",
     "verify_sperner",
     "relabel",
@@ -178,10 +181,47 @@ def validate_partition(p: Partition) -> list[str]:
     return errors
 
 
-# Above this many subset enumerations verify_sperner falls back to pairwise
+# Above this many subset enumerations containments falls back to pairwise
 # mask comparison; only pathological inputs (few partitions, huge classes of
 # many distinct sizes) ever reach the fallback.
 _SUBSET_ENUM_LIMIT = 2_000_000
+
+
+def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Yield every (sub, sup) pair of the given classes with sub a proper subset of sup.
+
+    This is the one class-containment index: verify_sperner turns its pairs
+    into violations and build_graph into non-edges.  Each class is matched
+    against its subsets of the sizes present, unless that enumeration would
+    exceed _SUBSET_ENUM_LIMIT, in which case classes are compared pairwise.
+    """
+    present = set(classes)
+    sizes_present = sorted({c.bit_count() for c in present})
+    cost = 0
+    for mask in present:
+        size = mask.bit_count()
+        for s in sizes_present:
+            if s >= size:
+                break
+            cost += comb(size, s)
+
+    if cost <= _SUBSET_ENUM_LIMIT:
+        for sup in present:
+            elems = elements_of(sup)
+            for s in sizes_present:
+                if s >= len(elems):
+                    break
+                for sub in combinations(elems, s):
+                    sm = mask_of(sub)
+                    if sm in present:
+                        yield sm, sup
+    else:
+        by_size = sorted(present, key=lambda m: (m.bit_count(), m))
+        for idx, small in enumerate(by_size):
+            ssize = small.bit_count()
+            for big in by_size[idx + 1 :]:
+                if big.bit_count() > ssize and small & ~big == 0:
+                    yield small, big
 
 
 def verify_sperner(system: PartitionSystem) -> SpernerReport:
@@ -190,8 +230,10 @@ def verify_sperner(system: PartitionSystem) -> SpernerReport:
     Every ordered pair of distinct partitions (P, Q) with classes C in P,
     D in Q contributes a violation unless C and D are incomparable.
     Classes within one partition are never compared: disjoint nonempty
-    sets are incomparable automatically.  Violations are reported
-    exhaustively and sorted, so equal inputs give identical reports.
+    sets are incomparable automatically.  Equal classes are found through
+    the class -> owners map, proper containments through containments.
+    Violations are reported exhaustively and sorted, so equal inputs give
+    identical reports.
     """
     wellformed = []
     for t, p in enumerate(system.partitions):
@@ -211,39 +253,12 @@ def verify_sperner(system: PartitionSystem) -> SpernerReport:
                     if a != b:
                         violations.add((a, i, b, j, "equal"))
 
-    def add_containment(sub_mask: int, super_mask: int) -> None:
-        for a, i in owners[sub_mask]:
-            for b, j in owners[super_mask]:
+    for sub, sup in containments(owners):
+        for a, i in owners[sub]:
+            for b, j in owners[sup]:
                 if a != b:
                     violations.add((a, i, b, j, "subset"))
                     violations.add((b, j, a, i, "superset"))
-
-    sizes_present = sorted({c.bit_count() for c in owners})
-    cost = 0
-    for mask in owners:
-        size = mask.bit_count()
-        for s in sizes_present:
-            if s >= size:
-                break
-            cost += comb(size, s)
-
-    if cost <= _SUBSET_ENUM_LIMIT:
-        for d_mask in owners:
-            d_elems = elements_of(d_mask)
-            for s in sizes_present:
-                if s >= len(d_elems):
-                    break
-                for sub in combinations(d_elems, s):
-                    sm = mask_of(sub)
-                    if sm in owners:
-                        add_containment(sm, d_mask)
-    else:
-        by_size = sorted(owners, key=lambda m: (m.bit_count(), m))
-        for idx, small in enumerate(by_size):
-            ssize = small.bit_count()
-            for big in by_size[idx + 1 :]:
-                if big.bit_count() > ssize and small & ~big == 0:
-                    add_containment(small, big)
 
     violations_sorted = tuple(sorted(violations))
     valid = not violations_sorted and not wellformed

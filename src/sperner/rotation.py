@@ -179,7 +179,7 @@ def check_difference_property(init: InitialPartition) -> DifferenceCheck:
     larges = [(c, d) for c, d in zip(init.classes, init.class_differences) if len(c) >= 3]
 
     counts = Counter(d for _, d in edges)
-    for d, cnt in sorted(counts.items(), key=str):
+    for d, cnt in sorted(counts.items()):
         if cnt > 1:
             problems.append(f"edge difference {d} is used by {cnt} edges")
 
@@ -224,7 +224,7 @@ def check_difference_property(init: InitialPartition) -> DifferenceCheck:
             for s in large_sizes:
                 if s >= len(rot):
                     break
-                for sub in combinations(sorted(rot, key=str), s):
+                for sub in combinations(sorted(rot), s):
                     if frozenset(sub) in by_size.get(s, ()):
                         problems.append(
                             f"a developed copy of {set(larges[idx][0])} contains a smaller developed class"

@@ -2,8 +2,9 @@
 
 Candidate k-partitions are enumerated in canonical lexicographic order,
 their pairwise-compatibility graph is built (two partitions are adjacent
-iff all their classes are mutually incomparable), and a maximum Sperner
-system is exactly a maximum clique in that graph.
+iff all their classes are mutually incomparable) from model.containments,
+the same class-containment index the verifier reads, and a maximum
+Sperner system is exactly a maximum clique in that graph.
 
 The clique solver is a deterministic branch-and-bound with greedy-coloring
 upper bounds over bitmask candidate sets.  Vertex order is the candidate
@@ -32,9 +33,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
-from .model import Partition, PartitionSystem, mask_of, verify_sperner
+from .model import Partition, PartitionSystem, containments, verify_sperner
 
 __all__ = [
     "CandidateSet",
@@ -42,9 +42,7 @@ __all__ = [
     "SearchOutcome",
     "enumerate_partitions",
     "build_graph",
-    "graph_from_edges",
     "max_clique",
-    "tiny_oracle",
     "solve_sp",
 ]
 
@@ -125,52 +123,34 @@ def enumerate_partitions(n: int, k: int, min_class_size: int = 2) -> CandidateSe
 
 
 def build_graph(candidates: CandidateSet) -> CompatibilityGraph:
-    """Adjacency via a class-containment index rather than pairwise scans.
+    """Adjacency from the class-containment index rather than pairwise scans.
 
     Vertices conflict iff they share a class or one has a class properly
-    inside a class of the other; everything else is an edge.
+    inside a class of the other; everything else is an edge.  owners[c] is
+    the bitmask of the vertices holding class c, and conflict[c] adds the
+    owners of every present proper subset and superset of c, read from
+    model.containments once per distinct class.
     """
     masks_list = [p.classes for p in candidates.partitions]
-    n = candidates.n
     num = len(masks_list)
 
-    eq: dict[int, int] = {}
+    owners: dict[int, int] = {}
     for v, classes in enumerate(masks_list):
         for c in classes:
-            eq[c] = eq.get(c, 0) | (1 << v)
+            owners[c] = owners.get(c, 0) | (1 << v)
 
-    sizes_present = sorted({c.bit_count() for classes in masks_list for c in classes})
-    subs_cache: dict[int, list[int]] = {}
-
-    def proper_subs(c: int) -> list[int]:
-        cached = subs_cache.get(c)
-        if cached is not None:
-            return cached
-        elems = [e for e in range(n) if c >> e & 1]
-        res = []
-        for s in sizes_present:
-            if s >= len(elems):
-                break
-            for sub in combinations(elems, s):
-                res.append(mask_of(sub))
-        subs_cache[c] = res
-        return res
-
-    sub_to_super: dict[int, int] = {}
-    for v, classes in enumerate(masks_list):
-        for c in classes:
-            for sm in proper_subs(c):
-                sub_to_super[sm] = sub_to_super.get(sm, 0) | (1 << v)
+    conflict = dict(owners)
+    for sub, sup in containments(owners):
+        conflict[sub] |= owners[sup]
+        conflict[sup] |= owners[sub]
 
     full = (1 << num) - 1
     adj = []
     for v, classes in enumerate(masks_list):
-        conflict = 1 << v
+        blocked = 1 << v
         for c in classes:
-            conflict |= eq.get(c, 0) | sub_to_super.get(c, 0)
-            for sm in proper_subs(c):
-                conflict |= eq.get(sm, 0)
-        adj.append(full & ~conflict)
+            blocked |= conflict[c]
+        adj.append(full & ~blocked)
     return CompatibilityGraph(num, tuple(adj), candidates)
 
 
@@ -483,14 +463,15 @@ def solve_sp(
     min_class_size: int = 2,
     time_budget: float | None = None,
     target: int | None = None,
-    symmetry_reduction: bool = True,
 ) -> SearchOutcome:
-    """Enumerate candidates, build the graph, run max_clique, verify the witness."""
+    """Enumerate candidates, build the graph, run max_clique, verify the witness.
+
+    The clique search always takes the symmetry-reduced path; call
+    max_clique directly for the plain one.
+    """
     candidates = enumerate_partitions(n, k, min_class_size)
     graph = build_graph(candidates)
-    outcome = max_clique(
-        graph, time_budget=time_budget, target=target, symmetry_reduction=symmetry_reduction
-    )
+    outcome = max_clique(graph, time_budget=time_budget, target=target, symmetry_reduction=True)
     assert outcome.best is not None
     report = verify_sperner(outcome.best)
     if not report.valid:

@@ -22,7 +22,6 @@ from sperner import (
     enumerate_partitions,
     fixture_names,
     format_report,
-    graph_from_edges,
     is_almost_uniform,
     latin_lift,
     load_fixture,
@@ -31,10 +30,10 @@ from sperner import (
     solve_initial_2k1,
     solve_sp,
     sp_bounds,
-    tiny_oracle,
     verify_sperner,
 )
 from sperner.rotation import INF, CircularLayout, InitialPartition, develop
+from sperner.search import graph_from_edges, tiny_oracle
 
 
 def _passed(number, text):

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -6,6 +7,7 @@ from sperner import (
     Partition,
     PartitionSystem,
     elements_of,
+    fixture_names,
     incomparable,
     is_almost_uniform,
     load_fixture,
@@ -14,6 +16,7 @@ from sperner import (
     validate_partition,
     verify_sperner,
 )
+from sperner import model
 
 
 def naive_verify(system):
@@ -130,11 +133,11 @@ def test_verify_matches_naive_verifier(name):
     assert report.violations == naive_verify(system)
 
 
-def test_verify_matches_naive_on_broken_systems():
+def broken_systems():
+    """fig-10-4 with one partition replaced by a random candidate, ten times."""
     rng = random.Random(20240815)
     base = load_fixture("fig-10-4")
     for _ in range(10):
-        # corrupt by replacing one partition with a random candidate
         parts = list(base.partitions)
         elems = list(range(10))
         rng.shuffle(elems)
@@ -142,8 +145,39 @@ def test_verify_matches_naive_on_broken_systems():
         parts[rng.randrange(len(parts))] = Partition(
             10, [elems[:cut1], elems[cut1:cut2], elems[cut2:cut3], elems[cut3:]]
         )
-        system = PartitionSystem(10, 4, parts)
+        yield PartitionSystem(10, 4, parts)
+
+
+def test_verify_matches_naive_on_broken_systems():
+    for system in broken_systems():
         assert verify_sperner(system).violations == naive_verify(system)
+
+
+def test_verify_pairwise_fallback_over_enum_limit():
+    # the size-30 classes have comb(30, 10) subsets of size 10, past the limit
+    assert comb(30, 10) > model._SUBSET_ENUM_LIMIT
+    a, b = set(range(10)), set(range(10, 20))
+    rest = set(range(40))
+    parts = [Partition(40, [a, rest - a]), Partition(40, [b, rest - b])]
+    system = PartitionSystem(40, 2, parts)
+    report = verify_sperner(system)
+    # a lies inside the complement of b, and b inside the complement of a
+    assert report.violations == (
+        (0, 0, 1, 1, "subset"),
+        (0, 1, 1, 0, "superset"),
+        (1, 0, 0, 1, "subset"),
+        (1, 1, 0, 0, "superset"),
+    )
+    assert report.violations == naive_verify(system)
+
+
+def test_verify_same_report_on_both_containment_branches(monkeypatch):
+    systems = [load_fixture(name) for name in fixture_names()] + list(broken_systems())
+    enumerated = [verify_sperner(system) for system in systems]
+    monkeypatch.setattr(model, "_SUBSET_ENUM_LIMIT", -1)
+    pairwise = [verify_sperner(system) for system in systems]
+    assert pairwise == enumerated
+    assert any(not report.valid for report in pairwise)
 
 
 def test_relabel_identity_and_validity():

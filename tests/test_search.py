@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product, starmap
 from math import comb, factorial
 
 import pytest
@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from sperner import (
     build_graph,
     enumerate_partitions,
-    graph_from_edges,
+    incomparable,
     load_fixture,
     max_clique,
     solve_sp,
     sp_bounds,
-    tiny_oracle,
     verify_sperner,
 )
 from sperner.model import Partition
-from sperner.search import _orbit_key
+from sperner.search import _orbit_key, graph_from_edges, tiny_oracle
 
 
 def shape_count(n, k, min_size):
@@ -127,6 +126,19 @@ class TestGraph:
             for v in vertices:
                 if u != v:
                     assert graph.adj[u] >> v & 1
+
+    @pytest.mark.parametrize("min_size", [1, 2])
+    @pytest.mark.parametrize("n,k", GRID_8)
+    def test_adjacency_matches_definition(self, n, k, min_size):
+        # u ~ v iff u != v and every class of u is incomparable with every class of v
+        candidates = enumerate_partitions(n, k, min_size)
+        parts = [p.classes for p in candidates.partitions]
+        expected = [0] * len(parts)
+        for (u, cu), (v, cv) in combinations(enumerate(parts), 2):
+            if all(starmap(incomparable, product(cu, cv))):
+                expected[u] |= 1 << v
+                expected[v] |= 1 << u
+        assert list(build_graph(candidates).adj) == expected
 
 
 class TestTinyOracle:
