@@ -8,12 +8,19 @@ Conventions beyond the classical results: SP(n, k) = 0 when n < k (no
 k-partition exists) and SP(n, k) = 1 for k <= n < 2k (every k-partition
 then has a singleton class, and a singleton is comparable with whichever
 class of another partition contains its element).
+
+The lower bounds come from one rule table and one dynamic program
+(derivation); construct.plan_construction runs the same program over the
+rules that build a system, so the two cannot drift apart.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
+from typing import NamedTuple
 
 __all__ = [
     "SpParams",
@@ -138,90 +145,100 @@ def best_upper(n: int, k: int) -> tuple[int, Provenance]:
     return value, provenance
 
 
-# (n, k) -> (bundled system, partitions) where the bundled witness beats
-# every construction formula
-_FIXTURE_LOWER = {
+# The bundled witnesses, preferred to any formula of equal size:
+# (n, k) -> (fixture name, partitions).  fig-11-4 is left out because
+# construct_3k1(4) is that very system.
+FIXTURES = {
+    (7, 3): ("fig-7-3", 5),
     (8, 3): ("fig-8-3", 8),
     (9, 4): ("fig-9-4", 8),
     (10, 4): ("fig-10-4", 10),
+    (17, 8): ("fig-17-8", 16),
 }
 
 
-def best_lower(n: int, k: int) -> tuple[int, Provenance]:
-    """Dynamic program over n' = k..n combining every lower-bound rule.
+class Step(NamedTuple):
+    """One step of a lower-bound derivation: SP(n, k) >= value by rule."""
 
-    Rules: known exact values; rotational-construction sizes; bundled
-    witnesses; monotone one-element extension from n-1; the Latin-square
-    lift k*SP(n-k, k).  The provenance is the derivation chain from the
-    base fact to n (consecutive extension steps are merged).
+    n: int
+    value: int
+    rule: str
+    detail: str
+    prev: int | None  # the n' whose system this step grows, if any
+
+
+def _rules(
+    n: int, k: int, steps: dict[int, Step], buildable: bool = False
+) -> Iterator[tuple[int, str, str, int | None]]:
+    """The rule table: (value, rule, detail, prev) of every rule that applies
+    at n, in order of preference, given the steps of every k <= n' < n.
+
+    known-exact is the one rule that builds nothing (the k | n value of
+    Meagher, Moura & Stevens comes without a witness); buildable=True
+    leaves it out.
+    """
+    ke = None if buildable else known_exact(n, k)
+    if ke is not None:
+        yield ke[0], "known-exact", f"SP({n},{k}) = {ke[0]}: {ke[1]}", None
+    if (n, k) in FIXTURES:
+        name, size = FIXTURES[n, k]
+        yield size, "fixture", f"bundled system {name} has {size} partitions", None
+    if k == 2 and n % 2 and n >= 3:
+        size = comb(n - 1, (n - 3) // 2)
+        yield size, "k2", f"two-class construction: C({n - 1},{(n - 3) // 2}) = {size} partitions", None
+    if n == 2 * k + 1 and k % 2 == 0:
+        yield 2 * k, "rotational-2k1", f"rotational construction: 2k = {2 * k} partitions", None
+    if n == 2 * k + 2 and k >= 3:
+        yield 2 * k + 1, "rotational-2k2", f"rotational construction: 2k+1 = {2 * k + 1} partitions", None
+    if n == 3 * k - 1 and k >= 4:
+        yield 3 * k - 1, "rotational-3k1", f"rotational construction: 3k-1 = {3 * k - 1} partitions", None
+    if n - k >= k:
+        value = k * steps[n - k].value
+        yield value, "latin-lift", f"SP({n},{k}) >= {k} * SP({n - k},{k}) = {value}", n - k
+    if n - 1 >= k:
+        value = steps[n - 1].value
+        yield value, "extend", f"SP({n},{k}) >= SP({n - 1},{k}) = {value}", n - 1
+    yield 1, "trivial", "a single k-partition", None
+
+
+def derivation(n: int, k: int, buildable: bool = False) -> list[Step]:
+    """Best lower bound for SP(n, k) as its derivation chain, top step first.
+
+    A dynamic program over n' = k..n that takes, at each n', the first
+    rule of the table with the largest value.  Requires k <= n.
+    """
+    steps: dict[int, Step] = {}
+    for m in range(k, n + 1):
+        # max keeps the first of equal values, so the table order decides ties
+        steps[m] = Step(m, *max(_rules(m, k, steps, buildable), key=lambda option: option[0]))
+    chain = [steps[n]]
+    while chain[-1].prev is not None:
+        chain.append(steps[chain[-1].prev])
+    return chain
+
+
+def best_lower(n: int, k: int) -> tuple[int, Provenance]:
+    """Best lower bound over every rule of the table, with its provenance.
+
+    The provenance is the derivation chain from the base fact up to n,
+    with each run of consecutive extensions merged into one step.
     """
     SpParams(n, k)
     if n < k:
         ke = known_exact(n, k)
         assert ke is not None
         return 0, (("known-exact", ke[1]),)
-
-    # value, preference, rule, detail, predecessor n'
-    memo: dict[int, tuple[int, str, str, int | None]] = {}
-    for n2 in range(k, n + 1):
-        options: list[tuple[int, int, str, str, int | None]] = []
-        ke = known_exact(n2, k)
-        if ke is not None:
-            options.append((ke[0], 0, "known-exact", f"SP({n2},{k}) = {ke[0]}: {ke[1]}", None))
-        if (n2, k) in _FIXTURE_LOWER:
-            fname, size = _FIXTURE_LOWER[(n2, k)]
-            options.append((size, 1, "fixture", f"bundled system {fname} has {size} partitions", None))
-        if n2 == 2 * k + 1 and k % 2 == 0 and k >= 2:
-            options.append(
-                (2 * k, 2, "rotational-2k1", f"rotational construction: 2k = {2 * k} partitions", None)
-            )
-        if n2 == 2 * k + 2 and k >= 3:
-            options.append(
-                (2 * k + 1, 3, "rotational-2k2", f"rotational construction: 2k+1 = {2 * k + 1} partitions", None)
-            )
-        if n2 == 3 * k - 1 and k >= 4:
-            options.append(
-                (3 * k - 1, 4, "rotational-3k1", f"rotational construction: 3k-1 = {3 * k - 1} partitions", None)
-            )
-        if n2 - k >= k:
-            sub = memo[n2 - k][0]
-            options.append(
-                (k * sub, 5, "latin-lift", f"SP({n2},{k}) >= {k} * SP({n2 - k},{k}) = {k * sub}", n2 - k)
-            )
-        if n2 - 1 >= k:
-            sub = memo[n2 - 1][0]
-            options.append(
-                (sub, 6, "extend", f"SP({n2},{k}) >= SP({n2 - 1},{k}) = {sub}", n2 - 1)
-            )
-        value, _, rule, detail, prev = max(options, key=lambda o: (o[0], -o[1]))
-        memo[n2] = (value, rule, detail, prev)
-
-    # walk the chain back to the base fact, merging consecutive extends
-    raw: list[tuple[str, str, int]] = []
-    at: int | None = n
-    while at is not None:
-        _, rule, detail, prev = memo[at]
-        raw.append((rule, detail, at))
-        at = prev
-    raw.reverse()
-    chain: list[tuple[str, str]] = []
-    i = 0
-    while i < len(raw):
-        rule, detail, n2 = raw[i]
+    chain = derivation(n, k)
+    provenance: list[tuple[str, str]] = []
+    for rule, run in groupby(reversed(chain), key=lambda step: step.rule):
+        steps = list(run)
         if rule == "extend":
-            j = i
-            while j + 1 < len(raw) and raw[j + 1][0] == "extend":
-                j += 1
-            top = raw[j][2]
-            value = memo[top][0]
-            chain.append(
-                ("extend", f"SP({top},{k}) >= SP({raw[i][2] - 1},{k}) = {value} by adding elements")
-            )
-            i = j + 1
+            top, bottom = steps[-1], steps[0]
+            detail = f"SP({top.n},{k}) >= SP({bottom.n - 1},{k}) = {top.value} by adding elements"
+            provenance.append((rule, detail))
         else:
-            chain.append((rule, detail))
-            i += 1
-    return memo[n][0], tuple(chain)
+            provenance += [(rule, step.detail) for step in steps]
+    return chain[0].value, tuple(provenance)
 
 
 def sp_bounds(n: int, k: int) -> BoundResult:

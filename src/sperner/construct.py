@@ -10,8 +10,8 @@ odd n; latin_lift and extend_by_one grow existing systems.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
+from .bounds import FIXTURES, derivation
 from .fixtures import load_fixture
 from .model import Partition, PartitionSystem, verify_sperner
 from .rotation import (
@@ -136,6 +136,11 @@ def construct_3k1(k: int) -> PartitionSystem:
     return _verified(system)
 
 
+def _require_sperner(base: PartitionSystem) -> None:
+    if not verify_sperner(base).valid:
+        raise ValueError("base system is not Sperner")
+
+
 def latin_lift(base: PartitionSystem) -> PartitionSystem:
     """Multiply a system's size by k by appending k fresh elements.
 
@@ -144,9 +149,11 @@ def latin_lift(base: PartitionSystem) -> PartitionSystem:
     c_j.  Rows of the cyclic Latin square disagree everywhere, so classes
     from different rows never contain one another.
     """
-    report = verify_sperner(base)
-    if not report.valid:
-        raise ValueError("base system is not Sperner")
+    _require_sperner(base)
+    return _lift(base)
+
+
+def _lift(base: PartitionSystem) -> PartitionSystem:
     k = base.k
     n = base.n + k
     parts = []
@@ -164,11 +171,14 @@ def extend_by_one(base: PartitionSystem) -> PartitionSystem:
     The fresh element cannot create containments: if B fits inside A
     extended by x, then B minus x already fit inside A.  Targeting the
     canonically first class of minimum size keeps the result almost
-    uniform whenever possible.
+    uniform whenever possible.  The base is checked first because the
+    fresh element can also hide a containment the base already had.
     """
-    report = verify_sperner(base)
-    if not report.valid:
-        raise ValueError("base system is not Sperner")
+    _require_sperner(base)
+    return _extend(base)
+
+
+def _extend(base: PartitionSystem) -> PartitionSystem:
     n = base.n + 1
     parts = []
     for p in base.partitions:
@@ -195,71 +205,37 @@ def _trivial_system(n: int, k: int) -> PartitionSystem:
     return _verified(PartitionSystem(n, k, [part], name=f"single({n},{k})"))
 
 
-# Sizes of the bundled systems usable as construction results.
-_FIXTURE_SIZES = {
-    (7, 3): ("fig-7-3", 5),
-    (8, 3): ("fig-8-3", 8),
-    (9, 4): ("fig-9-4", 8),
-    (10, 4): ("fig-10-4", 10),
-    (11, 4): ("fig-11-4", 11),
-    (17, 8): ("fig-17-8", 16),
-}
-
-
-def plan_construction(n: int, k: int) -> tuple[int, tuple]:
+def plan_construction(n: int, k: int) -> tuple[int, tuple[str, ...]]:
     """Best guaranteed system size reachable by the implemented constructions.
 
-    Returns (size, route); a route is a tagged tuple, recursively for the
-    growth rules:  ("fixture", name) | ("k2",) | ("dev-2k1",) |
-    ("dev-2k2",) | ("dev-3k1",) | ("trivial",) | ("latin-lift", route) |
-    ("extend", route).
+    Returns (size, route).  The route names the buildable rules of the
+    bounds rule table along the derivation, top step first: (13, 3) gives
+    (45, ("latin-lift", "latin-lift", "fixture")), two lifts of fig-7-3.
     """
     if n < k or k < 1:
         raise ValueError("no k-partition of an n-set exists when n < k")
-    memo: dict[int, tuple[int, tuple]] = {}
-    for n2 in range(k, n + 1):
-        options: list[tuple[int, int, tuple]] = []  # (size, preference, route)
-        if (n2, k) in _FIXTURE_SIZES:
-            fname, size = _FIXTURE_SIZES[(n2, k)]
-            options.append((size, 0, ("fixture", fname)))
-        if k == 2 and n2 % 2 and n2 >= 3:
-            options.append((comb(n2 - 1, (n2 - 1) // 2 - 1), 1, ("k2",)))
-        if n2 == 2 * k + 1 and k % 2 == 0 and k >= 2:
-            options.append((2 * k, 2, ("dev-2k1",)))
-        if n2 == 2 * k + 2 and k >= 3:
-            options.append((2 * k + 1, 3, ("dev-2k2",)))
-        if n2 == 3 * k - 1 and k >= 4:
-            options.append((3 * k - 1, 4, ("dev-3k1",)))
-        if n2 - k >= k:
-            sub_size, sub_route = memo[n2 - k]
-            options.append((k * sub_size, 5, ("latin-lift", sub_route)))
-        if n2 - 1 >= k:
-            sub_size, sub_route = memo[n2 - 1]
-            options.append((sub_size, 6, ("extend", sub_route)))
-        options.append((1, 7, ("trivial",)))
-        size, _, route = max(options, key=lambda o: (o[0], -o[1]))
-        memo[n2] = (size, route)
-    return memo[n]
+    chain = derivation(n, k, buildable=True)
+    return chain[0].value, tuple(step.rule for step in chain)
 
 
-def _materialize(n: int, k: int, route: tuple) -> PartitionSystem:
-    tag = route[0]
-    if tag == "fixture":
-        return _verified(load_fixture(route[1]))
-    if tag == "k2":
+def _materialize(n: int, k: int, route: tuple[str, ...]) -> PartitionSystem:
+    rule, rest = route[0], route[1:]
+    if rule == "latin-lift":
+        return _lift(_materialize(n - k, k, rest))
+    if rule == "extend":
+        return _extend(_materialize(n - 1, k, rest))
+    if rule == "fixture":
+        return _verified(load_fixture(FIXTURES[n, k][0]))
+    if rule == "k2":
         return construct_k2(n)
-    if tag == "dev-2k1":
+    if rule == "rotational-2k1":
         return construct_2k1(k)
-    if tag == "dev-2k2":
+    if rule == "rotational-2k2":
         return construct_2k2(k)
-    if tag == "dev-3k1":
+    if rule == "rotational-3k1":
         return construct_3k1(k)
-    if tag == "trivial":
+    if rule == "trivial":
         return _trivial_system(n, k)
-    if tag == "latin-lift":
-        return latin_lift(_materialize(n - k, k, route[1]))
-    if tag == "extend":
-        return extend_by_one(_materialize(n - 1, k, route[1]))
     raise ValueError(f"unknown construction route {route!r}")
 
 

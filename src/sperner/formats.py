@@ -110,11 +110,7 @@ def _parse_json(text: str) -> PartitionSystem:
     for idx, classes in enumerate(raw):
         if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
             raise ParseError(f"partition {idx} must be a list of element lists")
-        try:
-            part = _build_partition(n, k, [[_check_int(e, idx) for e in c] for c in classes])
-        except ParseError:
-            raise
-        partitions.append(part)
+        partitions.append(_build_partition(n, k, [[_check_int(e, idx) for e in c] for c in classes]))
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("name must be a string or null")

@@ -9,8 +9,10 @@ from sperner import (
     best_upper,
     counting_upper_bound,
     known_exact,
+    load_fixture,
     sp_bounds,
 )
+from sperner.bounds import FIXTURES
 
 
 def rational_bound(n, k):
@@ -130,6 +132,12 @@ def test_best_lower_monotone_in_n():
             value = best_lower(n, k)[0]
             assert value >= previous, (n, k)
             previous = value
+
+
+def test_fixture_table_matches_bundled_systems():
+    for (n, k), (name, size) in FIXTURES.items():
+        system = load_fixture(name)
+        assert (system.n, system.k, len(system)) == (n, k, size), name
 
 
 def test_bounds_consistency_grid():

@@ -15,6 +15,7 @@ from sperner import (
     latin_lift,
     load_fixture,
     plan_construction,
+    sp_bounds,
     verify_sperner,
 )
 
@@ -195,3 +196,38 @@ class TestAuto:
     def test_infeasible(self):
         with pytest.raises(ValueError, match="n < k"):
             construct_auto(3, 4)
+
+    def test_route_names_rules_top_down(self):
+        assert plan_construction(13, 3)[1] == ("latin-lift", "latin-lift", "fixture")
+        assert plan_construction(11, 4) == (11, ("rotational-3k1",))
+        assert plan_construction(19, 8) == (17, ("extend", "rotational-2k2"))
+        assert plan_construction(12, 4) == (16, ("latin-lift", "latin-lift", "trivial"))
+
+    def test_chained_route_verifies_each_system_once(self, monkeypatch):
+        import sperner.construct
+
+        sizes = []
+
+        def counting_verify(system):
+            sizes.append(len(system))
+            return verify_sperner(system)
+
+        monkeypatch.setattr(sperner.construct, "verify_sperner", counting_verify)
+        assert plan_construction(39, 8)[1] == ("latin-lift", "latin-lift", "rotational-3k1")
+        construct_auto(39, 8)
+        assert sizes == [23, 184, 1472]
+
+    def test_plan_meets_lower_bound_unless_known_exact(self):
+        # The planner runs the lower-bound program without the known-exact
+        # rule, so it falls short exactly where a k | n value (or another
+        # value without a witness) carries the lower bound.
+        short = 0
+        for k in range(1, 13):
+            for n in range(k, 61):
+                size = plan_construction(n, k)[0]
+                bound = sp_bounds(n, k)
+                assert size <= bound.lower, (n, k)
+                if all(rule != "known-exact" for rule, _ in bound.lower_provenance):
+                    assert size == bound.lower, (n, k)
+                short += size != bound.lower
+        assert short == 428
