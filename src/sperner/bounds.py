@@ -145,15 +145,14 @@ def best_upper(n: int, k: int) -> tuple[int, Provenance]:
     return value, provenance
 
 
-# The bundled witnesses, preferred to any formula of equal size:
-# (n, k) -> (fixture name, partitions).  fig-11-4 is left out because
-# construct_3k1(4) is that very system.
+# The bundled witnesses that no formula builds, preferred to any formula
+# of equal size: (n, k) -> (fixture name, partitions).  fig-9-4, fig-11-4
+# and fig-17-8 are left out because construct_2k1(4), construct_3k1(4)
+# and construct_2k1(8) are those very systems.
 FIXTURES = {
     (7, 3): ("fig-7-3", 5),
     (8, 3): ("fig-8-3", 8),
-    (9, 4): ("fig-9-4", 8),
     (10, 4): ("fig-10-4", 10),
-    (17, 8): ("fig-17-8", 16),
 }
 
 

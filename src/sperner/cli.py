@@ -13,13 +13,13 @@ import sys
 
 from .bounds import sp_bounds
 from .construct import (
+    _materialize,
     construct_2k1,
     construct_2k2,
     construct_3k1,
     construct_auto,
     construct_k2,
-    extend_by_one,
-    latin_lift,
+    plan_construction,
 )
 from .fixtures import fixture_names, load_fixture
 from .formats import ParseError, parse, serialize
@@ -121,10 +121,11 @@ def _cmd_construct(args) -> int:
             if n != 3 * k - 1:
                 raise ValueError("--method dev-3k1 requires n = 3k-1")
             system = construct_3k1(k)
-        elif args.method == "latin-lift":
-            system = latin_lift(construct_auto(n - k, k)).with_name(f"latin-lift({n},{k})")
-        elif args.method == "extend":
-            system = extend_by_one(construct_auto(n - 1, k)).with_name(f"extend({n},{k})")
+        elif args.method in ("latin-lift", "extend"):
+            # one planned step on top of the auto route for the base
+            base_n = n - k if args.method == "latin-lift" else n - 1
+            route = (args.method, *plan_construction(base_n, k)[1])
+            system = _materialize(n, k, route).with_name(f"{args.method}({n},{k})")
         else:  # pragma: no cover
             raise ValueError(f"unknown method {args.method}")
     except ValueError as exc:

@@ -73,8 +73,10 @@ def construct_2k1(k: int) -> PartitionSystem:
 
     k = 2 returns the construct_k2 optimum on 5 elements (4 partitions);
     k = 4 returns the bundled fig-9-4 system, since no initial partition
-    with the difference property exists for k = 4; even k >= 6 develops a
-    solved initial partition on the 2k-circle with center.
+    with the difference property exists for k = 4; even k >= 6 develops
+    the closed-form initial partition of solve_initial_2k1 on the
+    2k-circle with center (for k = 8 the seed of the paper's Figure 2,
+    which develops to the bundled fig-17-8 system).
     """
     if k < 2 or k % 2:
         raise ValueError("no construction available for odd k; SP(2k+1, k) is open there")

@@ -30,6 +30,7 @@ inside a rotated triangle, and rotated triangles never coincide.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -233,79 +234,69 @@ def check_difference_property(init: InitialPartition) -> DifferenceCheck:
     return DifferenceCheck(not problems, tuple(problems))
 
 
+# The seed of the paper's Figure 2 (the (17, 8) system).
+_FIG2_CLASSES = ((1, 5, 9), (8, 11), (7, 12), (6, 13), (2, 16), (4, 10), (3, INF), (14, 15))
+
+
+def _starter_runs(h: int) -> list[tuple[int, Iterable[int]]]:
+    """The edge runs (2c, D) of solve_initial_2k1 for k = 2h, h = 3 or h >= 5."""
+    if h % 2:
+        return [
+            (0, range(2, 2 * h - 1, 2)),
+            (4 * h - 1, range(h + 2, 2 * h, 2)),
+            (3 * h, (1,)),
+            (4 * h + 1, range(3, h - 1, 2)),
+        ]
+    a = -(-h // 4) - 2
+    return [
+        (1, (1,)),
+        (3 * h - 2 * a + 1, range(3, 2 * h, 2)),
+        (7 * h - 2 * a, [*range(2, h - 1, 2), *range(h + 2 * a + 4, 2 * h - 1, 2)]),
+        (7 * h - 2 * a - 2, range(h + 2, h + 2 * a + 1, 2)),
+        (4 * h + 4, (h + 2 * a + 2,)),
+    ]
+
+
 def solve_initial_2k1(k: int) -> InitialPartition:
-    """Find the initial partition for the (2k+1, k) rotational construction, k even.
+    """The initial partition for the (2k+1, k) rotational construction, k even.
 
     The layout is a 2k-circle plus center.  The triangle is forced to be
     {1, 1+k/2, 1+k} up to rotation: it must realize the diameter k (an
     edge realizing k would repeat when developed) and only one other
     distance, which pins the circular gaps to (k/2, k/2, k).  The k-1
     edges must then realize each distance in {1..k} minus {k/2, k}, plus
-    INF, exactly once.  A deterministic backtracking search assigns the
-    remaining points to edges, always branching on the distance with the
-    fewest open placements (ties: INF first, then larger distance) and
-    trying placements in ascending point order.
+    INF, exactly once, a Skolem-type starter problem.
 
-    For k = 4 the search exhausts without a solution -- no such initial
-    partition exists -- and raises.
+    It has a closed form.  On the points 0..2k-1, each run (2c, D) of
+    _starter_runs places the edges {c - d/2, c + d/2} mod 2k, d in D;
+    edges sharing a midpoint nest, so they never meet.  The runs realize
+    each finite distance once and leave four points: a triangle
+    {t, t+k/2, t+k} and one point e.  Rotating by x -> (x - t) mod 2k + 1
+    puts the triangle in place, and e joins the center.  The runs for
+    k = 0 mod 4 need k >= 12, so k = 8 takes the seed of the paper's
+    Figure 2.  No initial partition exists for k = 4 (all 1,260
+    candidates fail), and that case raises.
     """
     if k < 2 or k % 2:
         raise ValueError("construction requires even k")
     if k == 2:
         raise ValueError("use construct_k2 for k = 2")
-    m = 2 * k
-    layout = CircularLayout(m, has_center=True)
-    triangle = (1, 1 + k // 2, 1 + k)
-    remaining = [INF] + sorted(set(range(1, k + 1)) - {k // 2, k}, reverse=True)
-    free = set(range(1, m + 1)) - set(triangle)
-    chosen: dict = {}
-
-    def placements(d) -> list[tuple[int, ...]]:
-        if d == INF:
-            return [(x,) for x in sorted(free)]
-        out = []
-        for x in range(1, m + 1):
-            y = (x - 1 + d) % m + 1
-            if x in free and y in free:
-                out.append((x, y))
-        return out
-
-    def rank(d):
-        # deterministic tie order: INF first, then larger distances
-        return (0, 0) if d == INF else (1, -d)
-
-    def place() -> bool:
-        if not remaining:
-            return True
-        best_d = None
-        best = None
-        for d in sorted(remaining, key=rank):
-            cand = placements(d)
-            if not cand:
-                return False
-            if best is None or len(cand) < len(best):
-                best_d, best = d, cand
-        remaining.remove(best_d)
-        for pts in best:
-            free.difference_update(pts)
-            chosen[best_d] = pts
-            if place():
-                return True
-            del chosen[best_d]
-            free.update(pts)
-        remaining.append(best_d)
-        return False
-
-    if not place():
-        raise ValueError(
-            f"no initial partition with the difference property exists for k={k}"
-        )
-
-    classes = [triangle] + [
-        (pts if d != INF else pts + (INF,))
-        for d, pts in sorted(chosen.items(), key=lambda kv: rank(kv[0]))
-    ]
-    init = InitialPartition(layout, classes)
+    if k == 4:
+        raise ValueError(f"no initial partition with the difference property exists for k={k}")
+    m, h = 2 * k, k // 2
+    if k == 8:
+        classes = _FIG2_CLASSES
+    else:
+        edges = [((s - d) // 2 % m, (s + d) // 2 % m) for s, ds in _starter_runs(h) for d in ds]
+        free = set(range(m)).difference(*edges)
+        corners = [x for x in sorted(free) if {(x + h) % m, (x + k) % m} <= free]
+        if len(free) != 4 or not corners:
+            raise RuntimeError(f"internal error: the starter edges for k={k} overlap")
+        t = corners[0]
+        (e,) = free - {t, (t + h) % m, (t + k) % m}
+        classes = [(1, 1 + h, 1 + k), ((e - t) % m + 1, INF)]
+        classes += [((x - t) % m + 1, (y - t) % m + 1) for x, y in edges]
+    init = InitialPartition(CircularLayout(m, has_center=True), classes)
     check = check_difference_property(init)
     if not check.ok:
         raise RuntimeError(

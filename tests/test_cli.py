@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sperner import load_fixture, parse
+from sperner import load_fixture, parse, verify_sperner
 from sperner.cli import main
 
 
@@ -44,6 +44,29 @@ def test_construct_17_8_matches_bundled_system(capsys):
     code, out, _ = run(capsys, "construct", "--n", "17", "--k", "8")
     assert code == 0
     assert parse(out) == load_fixture("fig-17-8").with_name("auto(17,8)")
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        (("--n", "39", "--k", "8", "--method", "latin-lift"), [23, 184, 1472]),
+        (("--n", "40", "--k", "8", "--method", "extend"), [23, 184, 1472, 1472]),
+    ],
+)
+def test_construct_step_method_verifies_each_system_once(capsys, monkeypatch, argv, sizes):
+    import sperner.construct
+
+    seen = []
+
+    def counting_verify(system):
+        seen.append(len(system))
+        return verify_sperner(system)
+
+    monkeypatch.setattr(sperner.construct, "verify_sperner", counting_verify)
+    code, out, _ = run(capsys, "construct", *argv)
+    assert code == 0
+    assert len(parse(out)) == sizes[-1]
+    assert seen == sizes
 
 
 def test_construct_json_format(capsys):

@@ -59,6 +59,7 @@ class TestConstruct2k1:
         system = construct_2k1(8)
         assert len(system) == 16 and system.n == 17
         assert_valid(system)
+        assert system == load_fixture("fig-17-8").with_name(None)
         for p in system.partitions:
             assert sorted(p.sizes) == [2] * 7 + [3]
 
