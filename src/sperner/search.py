@@ -7,13 +7,16 @@ the same class-containment index the verifier reads, and a maximum
 Sperner system is exactly a maximum clique in that graph.
 
 The clique solver is a deterministic branch-and-bound with greedy-coloring
-upper bounds over bitmask candidate sets.  Vertex order is the candidate
-index: candidates sharing a class are non-adjacent and consecutive in
-canonical order, so greedy coloring packs them into few color classes,
-which is what makes the dense instances tractable (the (9,4) graph gets a
-15-color root bound this way).  Coloring below the pruning threshold is
-not recorded, only the vertices that can still extend the incumbent are.
-The search stops, proven, once the incumbent reaches that root bound.
+upper bounds over bitmask candidate sets.  One routine, _color, does every
+coloring.  Vertex order is the candidate index: candidates sharing a class
+are non-adjacent and consecutive in canonical order, so greedy coloring
+packs them into few color classes, which is what makes the dense instances
+tractable (the (9,4) graph gets a 15-color root bound this way).  Coloring
+below the pruning threshold is not recorded, only the vertices that can
+still extend the incumbent are.  The graph is colored once at the root:
+that coloring gives the root bound and, on the reduced path, the grouping
+of the root shapes.  The search stops, proven, once the incumbent reaches
+that root bound.
 
 solve_sp also uses the symmetry of the problem.  The candidate set holds
 every k-partition with the allowed class sizes, so it is closed under
@@ -167,25 +170,41 @@ def graph_from_edges(num_vertices: int, edges) -> CompatibilityGraph:
     return CompatibilityGraph(num_vertices, tuple(adj))
 
 
-def _count_colors(P: int, adj) -> int:
-    colors = 0
+def _color(P: int, nadj, threshold: int = 0) -> tuple[list[int], list[int]]:
+    """Greedy sequential coloring of P in vertex order (Tomita's MCS, San Segundo's BBMC).
+
+    nadj[v] is the complement of v's adjacency row.  Returns the vertices
+    whose color is above threshold, in coloring order, with their colors,
+    which ascend; vertices of a lower color are colored but not recorded.
+    """
+    order: list[int] = []
+    colors: list[int] = []
+    color = 0
     while P:
-        colors += 1
+        color += 1
         Q = P
-        cls = 0
-        while Q:
-            lsb = Q & -Q
-            v = lsb.bit_length() - 1
-            cls |= lsb
-            Q &= ~adj[v]
-            Q ^= lsb
-        P &= ~cls
-    return colors
+        if color > threshold:
+            while Q:
+                lsb = Q & -Q
+                v = lsb.bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                Q &= nadj[v]
+                Q ^= lsb
+                P ^= lsb
+        else:
+            while Q:
+                lsb = Q & -Q
+                Q &= nadj[lsb.bit_length() - 1]
+                Q ^= lsb
+                P ^= lsb
+    return order, colors
 
 
-def _greedy_clique(
-    adj, num: int, bound: int, deadline: float | None = None, tries: int = 24
-) -> int:
+_GREEDY_TRIES = 24
+
+
+def _greedy_clique(adj, num: int, bound: int, deadline: float | None = None) -> int:
     """Deterministic greedy lower bound: best clique mask over a few dense seeds.
 
     The first try always completes, so a clique is reported even when the
@@ -193,7 +212,7 @@ def _greedy_clique(
     a clique meets the upper bound.
     """
     best = 0
-    starts = sorted(range(num), key=lambda v: (-adj[v].bit_count(), v))[:tries]
+    starts = sorted(range(num), key=lambda v: (-adj[v].bit_count(), v))[:_GREEDY_TRIES]
     for s in starts:
         clique = 1 << s
         P = adj[s]
@@ -242,8 +261,10 @@ def max_clique(
     With no budget and no target the result is a proven maximum.  The
     search also stops, proven, as soon as the incumbent reaches the root
     coloring bound.  A target stops the search as soon as a clique of that
-    size is known (proven_optimal stays False unless the search finished
-    anyway); an expired time budget returns the best clique found so far.
+    size is known, the greedy seed included: its tries end at the first
+    clique that meets the target (proven_optimal stays False unless the
+    search finished anyway).  An expired time budget returns the best
+    clique found so far.
 
     symmetry_reduction needs the graph's full candidate set, which is
     closed under relabeling the ground set, and prunes at two levels:
@@ -260,7 +281,8 @@ def max_clique(
 
     At both levels the groups are visited in descending order of the
     highest greedy color among their members, so once size plus that color
-    cannot beat the incumbent, no later group can either.
+    cannot beat the incumbent, no later group can either.  The root level
+    reuses the root coloring that gave the bound.
 
     It is off by default here so the plain search stays available as a
     cross-check; solve_sp turns it on.
@@ -274,11 +296,13 @@ def max_clique(
         raise ValueError("symmetry reduction needs the graph's candidate set")
     deadline = t0 + time_budget if time_budget is not None else None
     full = (1 << num) - 1
-    root_bound = _count_colors(full, adj)
-
-    best_mask = _greedy_clique(adj, num, root_bound, deadline)
-    state = {"best": best_mask.bit_count(), "mask": best_mask, "nodes": 0}
     nadj = [~a for a in adj]
+    root_coloring = _color(full, nadj)
+    root_bound = root_coloring[1][-1]
+
+    seed_bound = root_bound if target is None else min(target, root_bound)
+    best_mask = _greedy_clique(adj, num, seed_bound, deadline)
+    state = {"best": best_mask.bit_count(), "mask": best_mask, "nodes": 0}
 
     def check_stop() -> None:
         if target is not None and state["best"] >= target:
@@ -291,39 +315,12 @@ def max_clique(
     def expand(size: int, clique: int, P: int) -> None:
         state["nodes"] += 1
         check_stop()
-        threshold = state["best"] - size
-        order: list[int] = []
-        colors: list[int] = []
-        color = 0
-        W = P
-        while W:
-            color += 1
-            Q = W
-            cls = 0
-            if color > threshold:
-                while Q:
-                    lsb = Q & -Q
-                    v = lsb.bit_length() - 1
-                    cls |= lsb
-                    order.append(v)
-                    colors.append(color)
-                    Q &= nadj[v]
-                    Q ^= lsb
-            else:
-                while Q:
-                    lsb = Q & -Q
-                    v = lsb.bit_length() - 1
-                    cls |= lsb
-                    Q &= nadj[v]
-                    Q ^= lsb
-            W &= ~cls
+        order, colors = _color(P, nadj, state["best"] - size)
         for i in range(len(order) - 1, -1, -1):
-            v = order[i]
-            bit = 1 << v
-            if not (P & bit):
-                continue
             if size + colors[i] <= state["best"]:
                 return
+            v = order[i]
+            bit = 1 << v
             extended = clique | bit
             if size + 1 > state["best"]:
                 state["best"] = size + 1
@@ -334,33 +331,21 @@ def max_clique(
                 expand(size + 1, extended, P2)
             P &= ~bit
 
-    def branch_orbits(size: int, clique: int, P: int, key, descend) -> None:
+    def branch_orbits(size: int, clique: int, P: int, coloring, key, descend) -> None:
         """Group P by key; branch on each group's first vertex, then drop the group.
 
-        Groups go in descending order of their highest greedy color, so the
-        color bound prunes the rest as in expand.  descend(size, clique, P)
-        searches below each representative.
+        coloring is _color(P, nadj).  Groups go in descending order of their
+        highest greedy color, so the color bound prunes the rest as in
+        expand.  descend(size, clique, P) searches below each representative.
         """
         groups: dict = {}
         top: dict = {}
-        color = 0
-        W = P
-        seen = 0
-        while W:
-            color += 1
-            Q = W
-            while Q:
-                lsb = Q & -Q
-                v = lsb.bit_length() - 1
-                Q &= nadj[v]
-                Q ^= lsb
-                W ^= lsb
-                g = key(v)
-                groups[g] = groups.get(g, 0) | lsb
-                top[g] = color
-                seen += 1
-                if deadline is not None and seen % 256 == 0 and time.perf_counter() > deadline:
-                    raise _Stop(False)
+        for seen, (v, color) in enumerate(zip(*coloring), 1):
+            g = key(v)
+            groups[g] = groups.get(g, 0) | (1 << v)
+            top[g] = color
+            if deadline is not None and seen % 256 == 0 and time.perf_counter() > deadline:
+                raise _Stop(False)
         for g in sorted(groups, key=top.__getitem__, reverse=True):
             if size + top[g] <= state["best"]:
                 return
@@ -385,9 +370,11 @@ def max_clique(
 
             def depth2(size: int, clique: int, P: int) -> None:
                 fixed = classes[clique.bit_length() - 1]  # clique is the root alone
-                branch_orbits(size, clique, P, lambda v: _orbit_key(fixed, classes[v]), expand)
+                branch_orbits(
+                    size, clique, P, _color(P, nadj), lambda v: _orbit_key(fixed, classes[v]), expand
+                )
 
-            branch_orbits(0, 0, full, sizes.__getitem__, depth2)
+            branch_orbits(0, 0, full, root_coloring, sizes.__getitem__, depth2)
         else:
             for v in range(num):
                 later = (full >> (v + 1)) << (v + 1)

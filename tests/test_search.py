@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sperner.search
 from sperner import (
     build_graph,
     enumerate_partitions,
@@ -18,7 +19,7 @@ from sperner import (
     verify_sperner,
 )
 from sperner.model import Partition
-from sperner.search import _orbit_key, graph_from_edges, tiny_oracle
+from sperner.search import _color, _orbit_key, graph_from_edges, tiny_oracle
 
 
 def shape_count(n, k, min_size):
@@ -155,6 +156,37 @@ class TestTinyOracle:
             tiny_oracle(graph_from_edges(2001, []))
 
 
+class TestColor:
+    def graphs(self):
+        # the graphs of test_agrees_with_oracle_on_random_graphs, and (8,3)
+        rng = random.Random(20240815)
+        for num, p in [(15, 0.3), (15, 0.7), (25, 0.5), (35, 0.4), (40, 0.8), (48, 0.6)]:
+            yield random_graph(rng, num, p)
+        yield build_graph(enumerate_partitions(8, 3, 2))
+
+    def test_proper_coloring_and_threshold_tail(self):
+        rng = random.Random(7)
+        for graph in self.graphs():
+            nadj = [~a for a in graph.adj]
+            full = (1 << graph.num_vertices) - 1
+            for P in (full, rng.getrandbits(graph.num_vertices)):
+                order, colors = _color(P, nadj)
+                assert sorted(order) == [v for v in range(graph.num_vertices) if P >> v & 1]
+                assert colors == sorted(colors)
+                for (u, cu), (v, cv) in combinations(zip(order, colors), 2):
+                    assert cu != cv or not graph.adj[u] >> v & 1
+                for t in range(max(colors, default=0) + 1):
+                    tail = [(v, c) for v, c in zip(order, colors) if c > t]
+                    assert list(zip(*_color(P, nadj, t))) == tail
+
+    def test_root_bound_is_last_color(self):
+        for graph in self.graphs():
+            full = (1 << graph.num_vertices) - 1
+            colors = _color(full, [~a for a in graph.adj])[1]
+            # the target only stops the search early; the root bound comes first
+            assert max_clique(graph, target=1).root_bound == colors[-1]
+
+
 class TestMaxClique:
     def test_small_sp_values(self):
         assert max_clique(build_graph(enumerate_partitions(5, 2, 2))).size == 4
@@ -193,6 +225,19 @@ class TestMaxClique:
         outcome = max_clique(graph, target=4)
         assert outcome.size >= 4
         assert not outcome.proven_optimal
+
+    def test_greedy_seed_stops_at_target(self, monkeypatch):
+        bounds = []
+        greedy = sperner.search._greedy_clique
+
+        def spy(adj, num, bound, *rest):
+            bounds.append(bound)
+            return greedy(adj, num, bound, *rest)
+
+        monkeypatch.setattr(sperner.search, "_greedy_clique", spy)
+        outcome = max_clique(build_graph(enumerate_partitions(8, 3, 2)), target=4)
+        assert bounds == [4]  # not the root bound of 24
+        assert outcome.size >= 4
 
     def test_time_budget_returns_best_so_far(self):
         graph = build_graph(enumerate_partitions(8, 3, 2))
