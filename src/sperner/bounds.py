@@ -200,16 +200,23 @@ def _rules(
     yield 1, "trivial", "a single k-partition", None
 
 
-def derivation(n: int, k: int, buildable: bool = False) -> list[Step]:
+def derivation(n: int, k: int, buildable: bool = False, first: str | None = None) -> list[Step]:
     """Best lower bound for SP(n, k) as its derivation chain, top step first.
 
     A dynamic program over n' = k..n that takes, at each n', the first
-    rule of the table with the largest value.  Requires k <= n.
+    rule of the table with the largest value; with first, the top step at
+    n is the best option of that rule (ValueError if it does not apply).
+    Requires k <= n.
     """
     steps: dict[int, Step] = {}
     for m in range(k, n + 1):
+        options = _rules(m, k, steps, buildable)
+        if m == n and first is not None:
+            options = [option for option in options if option[1] == first]
+            if not options:
+                raise ValueError(f"rule {first} does not apply at SP({n},{k})")
         # max keeps the first of equal values, so the table order decides ties
-        steps[m] = Step(m, *max(_rules(m, k, steps, buildable), key=lambda option: option[0]))
+        steps[m] = Step(m, *max(options, key=lambda option: option[0]))
     chain = [steps[n]]
     while chain[-1].prev is not None:
         chain.append(steps[chain[-1].prev])

@@ -12,15 +12,7 @@ import argparse
 import sys
 
 from .bounds import sp_bounds
-from .construct import (
-    _materialize,
-    construct_2k1,
-    construct_2k2,
-    construct_3k1,
-    construct_auto,
-    construct_k2,
-    plan_construction,
-)
+from .construct import construct_auto
 from .fixtures import fixture_names, load_fixture
 from .formats import ParseError, parse, serialize
 from .model import PartitionSystem, format_report, verify_sperner
@@ -31,6 +23,17 @@ EX_PARSE = 1
 EX_INVALID = 2
 EX_BUDGET = 3
 EX_USAGE = 64
+
+# construct --method -> (the bounds rule it forces as the first step, what that rule requires)
+_METHODS = {
+    "auto": (None, None),
+    "k2": ("k2", "k = 2 and odd n >= 3"),
+    "dev-2k1": ("rotational-2k1", "n = 2k+1 with k even"),
+    "dev-2k2": ("rotational-2k2", "n = 2k+2 with k >= 3"),
+    "dev-3k1": ("rotational-3k1", "n = 3k-1 with k >= 4"),
+    "latin-lift": ("latin-lift", "n >= 2k"),
+    "extend": ("extend", "n >= k+1"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,8 +52,9 @@ def _build_parser() -> _Parser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument(
         "--method",
-        choices=["auto", "k2", "dev-2k1", "dev-2k2", "dev-3k1", "latin-lift", "extend"],
+        choices=list(_METHODS),
         default="auto",
+        help="force the first step of the planned route (auto: plan every step)",
     )
     c.add_argument("-o", "--output", help="write the document here instead of stdout")
     c.add_argument("--format", choices=["text", "json"], default="text")
@@ -101,35 +105,13 @@ def _emit(system: PartitionSystem, output: str | None, fmt: str) -> None:
 
 
 def _cmd_construct(args) -> int:
-    n, k = args.n, args.k
+    rule, requirement = _METHODS[args.method]
     try:
-        if args.method == "auto":
-            system = construct_auto(n, k)
-        elif args.method == "k2":
-            if k != 2:
-                raise ValueError("--method k2 requires --k 2")
-            system = construct_k2(n)
-        elif args.method == "dev-2k1":
-            if n != 2 * k + 1:
-                raise ValueError("--method dev-2k1 requires n = 2k+1")
-            system = construct_2k1(k)
-        elif args.method == "dev-2k2":
-            if n != 2 * k + 2:
-                raise ValueError("--method dev-2k2 requires n = 2k+2")
-            system = construct_2k2(k)
-        elif args.method == "dev-3k1":
-            if n != 3 * k - 1:
-                raise ValueError("--method dev-3k1 requires n = 3k-1")
-            system = construct_3k1(k)
-        elif args.method in ("latin-lift", "extend"):
-            # one planned step on top of the auto route for the base
-            base_n = n - k if args.method == "latin-lift" else n - 1
-            route = (args.method, *plan_construction(base_n, k)[1])
-            system = _materialize(n, k, route).with_name(f"{args.method}({n},{k})")
-        else:  # pragma: no cover
-            raise ValueError(f"unknown method {args.method}")
+        system = construct_auto(args.n, args.k, first=rule)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if requirement:
+            print(f"note: --method {args.method} requires {requirement}", file=sys.stderr)
         return EX_USAGE
     _emit(system, args.output, args.format)
     return EX_OK
@@ -174,21 +156,25 @@ def _format_bound_line(n: int, k: int) -> list[str]:
 
 def _cmd_bounds(args) -> int:
     k = args.k
-    if args.table:
-        max_n = args.max_n
-        if max_n is None:
-            print("error: --table requires --max-n", file=sys.stderr)
-            return EX_USAGE
-        print(f"{'n':>4} {'k':>4} {'lower':>12} {'upper':>12}  status")
-        for n in range(k, max_n + 1):
-            result = sp_bounds(n, k)
-            status = "exact" if result.exact else "open"
-            print(f"{n:>4} {k:>4} {result.lower:>12} {result.upper:>12}  {status}")
-        return EX_OK
-    if args.n is None:
+    if args.table and args.max_n is None:
+        print("error: --table requires --max-n", file=sys.stderr)
+        return EX_USAGE
+    if not args.table and args.n is None:
         print("error: --n is required without --table", file=sys.stderr)
         return EX_USAGE
-    for line in _format_bound_line(args.n, k):
+    try:
+        if args.table:
+            lines = [f"{'n':>4} {'k':>4} {'lower':>12} {'upper':>12}  status"]
+            for n in range(k, args.max_n + 1):
+                result = sp_bounds(n, k)
+                status = "exact" if result.exact else "open"
+                lines.append(f"{n:>4} {k:>4} {result.lower:>12} {result.upper:>12}  {status}")
+        else:
+            lines = _format_bound_line(args.n, k)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
+    for line in lines:
         print(line)
     return EX_OK
 
@@ -214,7 +200,8 @@ def _cmd_search(args) -> int:
     )
     if args.output and outcome.best is not None:
         _emit(outcome.best, args.output, args.format)
-    target_met = args.target is not None and outcome.size >= args.target
+    # --exact ignores the target, so only a proof ends it successfully
+    target_met = not args.exact and args.target is not None and outcome.size >= args.target
     if outcome.proven_optimal or target_met:
         return EX_OK
     return EX_BUDGET

@@ -92,6 +92,8 @@ def enumerate_partitions(n: int, k: int, min_class_size: int = 2) -> CandidateSe
     style (a new block is opened only by its smallest element), so every
     partition appears once; the result is then sorted canonically.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if min_class_size < 1:
         raise ValueError("min_class_size must be at least 1")
     if n < k * min_class_size:

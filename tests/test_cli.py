@@ -76,10 +76,57 @@ def test_construct_json_format(capsys):
     assert doc["n"] == 8 and len(doc["partitions"]) == 8
 
 
-def test_construct_method_mismatch_is_usage_error(capsys):
-    code, _, err = run(capsys, "construct", "--n", "9", "--k", "4", "--method", "dev-3k1")
+@pytest.mark.parametrize(
+    "method, n, k, requirement",
+    [
+        ("auto", 3, 4, "n < k"),
+        ("k2", 9, 4, "requires k = 2 and odd n >= 3"),
+        ("k2", 8, 2, "requires k = 2 and odd n >= 3"),
+        ("dev-2k1", 7, 3, "requires n = 2k+1 with k even"),
+        ("dev-2k2", 6, 2, "requires n = 2k+2 with k >= 3"),
+        ("dev-3k1", 9, 4, "requires n = 3k-1"),
+        ("dev-3k1", 8, 3, "requires n = 3k-1 with k >= 4"),
+        ("latin-lift", 7, 4, "requires n >= 2k"),
+        ("extend", 4, 4, "requires n >= k+1"),
+    ],
+)
+def test_construct_method_mismatch_is_usage_error(capsys, method, n, k, requirement):
+    code, out, err = run(capsys, "construct", "--n", str(n), "--k", str(k), "--method", method)
     assert code == 64
-    assert "requires n = 3k-1" in err
+    assert out == ""
+    assert requirement in err
+
+
+@pytest.mark.parametrize(
+    "method, n, k, name",
+    [
+        ("auto", 9, 4, "auto(9,4)"),
+        ("k2", 7, 2, "construct_k2(7)"),
+        ("dev-2k1", 13, 6, "construct_2k1(6)"),
+        ("dev-2k2", 10, 4, "construct_2k2(4)"),
+        ("dev-3k1", 11, 4, "construct_3k1(4)"),
+        ("latin-lift", 10, 3, "latin-lift(10,3)"),
+        ("extend", 8, 3, "extend(8,3)"),
+    ],
+)
+def test_construct_method_names_the_system(capsys, method, n, k, name):
+    code, out, _ = run(capsys, "construct", "--n", str(n), "--k", str(k), "--method", method)
+    assert code == 0
+    assert out.splitlines()[0] == f"# name: {name}"
+
+
+def test_construct_oversized_plan_is_usage_error(capsys, monkeypatch):
+    import sperner.construct
+
+    def no_build(*args):
+        raise AssertionError("built a system over the cap")
+
+    # C(28,13) = 37,442,160 partitions are planned and refused before any is built
+    monkeypatch.setattr(sperner.construct, "_materialize", no_build)
+    code, out, err = run(capsys, "construct", "--n", "29", "--k", "2")
+    assert code == 64
+    assert out == ""
+    assert "37,442,160 partitions" in err
 
 
 def test_construct_unknown_method_is_usage_error(capsys):
@@ -154,6 +201,25 @@ def test_bounds_table_requires_max_n(capsys):
     code, _, err = run(capsys, "bounds", "--k", "3", "--table")
     assert code == 64
     assert "--max-n" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "0", "--k", "3"), ("--k", "0", "--table", "--max-n", "4")],
+)
+def test_bounds_non_positive_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "bounds", *argv)
+    assert code == 64
+    assert out == ""
+    assert "n and k must be positive" in err
+
+
+def test_search_exact_ignores_met_target(capsys):
+    # the greedy seed meets the target at once, but --exact asks for a proof
+    argv = ["--n", "8", "--k", "3", "--exact", "--target", "5", "--time-limit", "0.001"]
+    code, out, _ = run(capsys, "search", *argv)
+    assert code == 3
+    assert "(not proven maximum)" in out
 
 
 def test_search_exact_small(capsys):

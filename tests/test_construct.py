@@ -204,6 +204,17 @@ class TestAuto:
         assert plan_construction(19, 8) == (17, ("extend", "rotational-2k2"))
         assert plan_construction(12, 4) == (16, ("latin-lift", "latin-lift", "trivial"))
 
+    def test_first_forces_the_top_step_only(self):
+        # a forced step may be worse than the best one (11 by rotational-3k1);
+        # the base below it is planned as usual
+        assert plan_construction(11, 4, first="extend") == (10, ("extend", "fixture"))
+        assert plan_construction(5, 2) == (4, ("k2",))
+        assert plan_construction(5, 2, first="rotational-2k1") == (4, ("rotational-2k1",))
+        cells = [(11, "k2"), (11, "rotational-2k1"), (11, "rotational-2k2"), (11, "known-exact")]
+        for n, first in cells + [(7, "latin-lift"), (4, "extend")]:
+            with pytest.raises(ValueError, match=f"rule {first} does not apply at SP\\({n},4\\)"):
+                plan_construction(n, 4, first=first)
+
     def test_chained_route_verifies_each_system_once(self, monkeypatch):
         import sperner.construct
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sperner import (
     INF,
@@ -182,3 +184,27 @@ def test_solve_initial_deterministic():
     a = solve_initial_2k1(12)
     b = solve_initial_2k1(12)
     assert a.classes == b.classes
+
+
+@st.composite
+def initial_partitions(draw):
+    """Classes of sizes 2..4 covering a circle of 5..14 points, with or without center."""
+    layout = CircularLayout(draw(st.integers(5, 14)), has_center=draw(st.booleans()))
+    points = draw(st.permutations(layout.points()))
+    classes = []
+    while points:
+        # never leave a single point, which could not form a class
+        fits = [s for s in (2, 3, 4) if s == len(points) or len(points) - s >= 2]
+        size = draw(st.sampled_from(fits))
+        classes.append(points[:size])
+        points = points[size:]
+    return InitialPartition(layout, classes)
+
+
+@settings(max_examples=500, deadline=None)
+@given(initial_partitions())
+def test_difference_property_implies_valid_development_mixed_sizes(init):
+    # with triangles and 4-classes side by side this reaches the check for
+    # a developed smaller class inside a developed larger one
+    if check_difference_property(init).ok:
+        assert verify_sperner(develop(init)).valid

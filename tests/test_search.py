@@ -89,6 +89,8 @@ class TestEnumeration:
     def test_infeasible(self):
         with pytest.raises(ValueError, match="no candidates"):
             enumerate_partitions(5, 3, 2)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            enumerate_partitions(3, 0, 2)
 
 
 class TestGraph:
