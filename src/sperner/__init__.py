@@ -15,6 +15,7 @@ from .bounds import (
     SpParams,
     best_lower,
     best_upper,
+    bounds_table,
     counting_upper_bound,
     known_exact,
     sp_bounds,
@@ -59,6 +60,7 @@ from .search import (
     CompatibilityGraph,
     SearchOutcome,
     build_graph,
+    candidate_count,
     enumerate_partitions,
     max_clique,
     solve_sp,
@@ -83,7 +85,9 @@ __all__ = [
     "SpernerReport",
     "best_lower",
     "best_upper",
+    "bounds_table",
     "build_graph",
+    "candidate_count",
     "check_difference_property",
     "construct_2k1",
     "construct_2k2",

@@ -30,6 +30,7 @@ __all__ = [
     "best_upper",
     "best_lower",
     "sp_bounds",
+    "bounds_table",
 ]
 
 # provenance: ((rule-name, human-readable detail), ...)
@@ -200,14 +201,8 @@ def _rules(
     yield 1, "trivial", "a single k-partition", None
 
 
-def derivation(n: int, k: int, buildable: bool = False, first: str | None = None) -> list[Step]:
-    """Best lower bound for SP(n, k) as its derivation chain, top step first.
-
-    A dynamic program over n' = k..n that takes, at each n', the first
-    rule of the table with the largest value; with first, the top step at
-    n is the best option of that rule (ValueError if it does not apply).
-    Requires k <= n.
-    """
+def _steps(n: int, k: int, buildable: bool = False, first: str | None = None) -> dict[int, Step]:
+    """The dynamic program: the best step at every n' = k..n (see derivation)."""
     steps: dict[int, Step] = {}
     for m in range(k, n + 1):
         options = _rules(m, k, steps, buildable)
@@ -217,6 +212,18 @@ def derivation(n: int, k: int, buildable: bool = False, first: str | None = None
                 raise ValueError(f"rule {first} does not apply at SP({n},{k})")
         # max keeps the first of equal values, so the table order decides ties
         steps[m] = Step(m, *max(options, key=lambda option: option[0]))
+    return steps
+
+
+def derivation(n: int, k: int, buildable: bool = False, first: str | None = None) -> list[Step]:
+    """Best lower bound for SP(n, k) as its derivation chain, top step first.
+
+    A dynamic program over n' = k..n that takes, at each n', the first
+    rule of the table with the largest value; with first, the top step at
+    n is the best option of that rule (ValueError if it does not apply).
+    Requires k <= n.
+    """
+    steps = _steps(n, k, buildable, first)
     chain = [steps[n]]
     while chain[-1].prev is not None:
         chain.append(steps[chain[-1].prev])
@@ -247,12 +254,34 @@ def best_lower(n: int, k: int) -> tuple[int, Provenance]:
     return chain[0].value, tuple(provenance)
 
 
-def sp_bounds(n: int, k: int) -> BoundResult:
-    """Combined best-known bounds; lower <= upper is enforced."""
-    lower, lower_prov = best_lower(n, k)
-    upper, upper_prov = best_upper(n, k)
+def _checked(n: int, k: int, lower: int, upper: int) -> None:
     if lower > upper:
         raise RuntimeError(
             f"internal error: lower bound {lower} exceeds upper bound {upper} for ({n},{k})"
         )
+
+
+def sp_bounds(n: int, k: int) -> BoundResult:
+    """Combined best-known bounds; lower <= upper is enforced."""
+    lower, lower_prov = best_lower(n, k)
+    upper, upper_prov = best_upper(n, k)
+    _checked(n, k, lower, upper)
     return BoundResult(n, k, lower, upper, lower_prov, upper_prov)
+
+
+def bounds_table(k: int, max_n: int) -> list[tuple[int, int, int]]:
+    """(n, lower, upper) for n = k..max_n, as sp_bounds gives them.
+
+    Every lower value comes from one pass of the dynamic program up to
+    max_n, so the table costs what its last row does.
+    """
+    if max_n < k:
+        return []
+    SpParams(k, k)  # k < 1 raises here, as at sp_bounds' first row
+    steps = _steps(max_n, k)
+    rows = []
+    for n in range(k, max_n + 1):
+        lower, (upper, _) = steps[n].value, best_upper(n, k)
+        _checked(n, k, lower, upper)
+        rows.append((n, lower, upper))
+    return rows

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import sp_bounds
+from .bounds import bounds_table, sp_bounds
 from .construct import construct_auto
 from .fixtures import fixture_names, load_fixture
 from .formats import ParseError, parse, serialize
@@ -165,10 +165,9 @@ def _cmd_bounds(args) -> int:
     try:
         if args.table:
             lines = [f"{'n':>4} {'k':>4} {'lower':>12} {'upper':>12}  status"]
-            for n in range(k, args.max_n + 1):
-                result = sp_bounds(n, k)
-                status = "exact" if result.exact else "open"
-                lines.append(f"{n:>4} {k:>4} {result.lower:>12} {result.upper:>12}  {status}")
+            for n, lower, upper in bounds_table(k, args.max_n):
+                status = "exact" if lower == upper else "open"
+                lines.append(f"{n:>4} {k:>4} {lower:>12} {upper:>12}  {status}")
         else:
             lines = _format_bound_line(args.n, k)
     except ValueError as exc:

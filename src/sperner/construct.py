@@ -215,7 +215,9 @@ def plan_construction(n: int, k: int, first: str | None = None) -> tuple[int, tu
     (45, ("latin-lift", "latin-lift", "fixture")), two lifts of fig-7-3.
     first forces the top step, as in bounds.derivation.
     """
-    if n < k or k < 1:
+    if k < 1:
+        raise ValueError(f"k = {k}: a k-partition needs k >= 1 classes")
+    if n < k:
         raise ValueError("no k-partition of an n-set exists when n < k")
     chain = derivation(n, k, buildable=True, first=first)
     return chain[0].value, tuple(step.rule for step in chain)

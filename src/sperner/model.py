@@ -85,6 +85,13 @@ class Partition:
         self.classes = tuple(masks)
         self.k = len(masks) if k is None else int(k)
 
+    @classmethod
+    def _from_canonical(cls, n: int, k: int, classes: tuple[int, ...]) -> "Partition":
+        # classes are masks already in canonical order; skips the sort
+        p = cls.__new__(cls)
+        p.n, p.k, p.classes = n, k, classes
+        return p
+
     @property
     def class_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(elements_of(c) for c in self.classes)
@@ -192,8 +199,10 @@ def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
 
     This is the one class-containment index: verify_sperner turns its pairs
     into violations and build_graph into non-edges.  Each class is matched
-    against its subsets of the sizes present, unless that enumeration would
-    exceed _SUBSET_ENUM_LIMIT, in which case classes are compared pairwise.
+    against its subsets of the sizes present, each built as the sum of a
+    combination of the class's single-bit masks, unless that enumeration
+    would exceed _SUBSET_ENUM_LIMIT, in which case classes are compared
+    pairwise.
     """
     present = set(classes)
     sizes_present = sorted({c.bit_count() for c in present})
@@ -207,14 +216,21 @@ def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
 
     if cost <= _SUBSET_ENUM_LIMIT:
         for sup in present:
-            elems = elements_of(sup)
+            size = sup.bit_count()
+            if size <= sizes_present[0]:
+                continue  # no class present is smaller
+            bits = []  # sup split into its single-bit masks
+            rest = sup
+            while rest:
+                low = rest & -rest
+                bits.append(low)
+                rest ^= low
             for s in sizes_present:
-                if s >= len(elems):
+                if s >= size:
                     break
-                for sub in combinations(elems, s):
-                    sm = mask_of(sub)
-                    if sm in present:
-                        yield sm, sup
+                for sub in map(sum, combinations(bits, s)):
+                    if sub in present:
+                        yield sub, sup
     else:
         by_size = sorted(present, key=lambda m: (m.bit_count(), m))
         for idx, small in enumerate(by_size):

@@ -1,10 +1,15 @@
 """Exhaustive maximum-system search via maximum clique.
 
-Candidate k-partitions are enumerated in canonical lexicographic order,
-their pairwise-compatibility graph is built (two partitions are adjacent
-iff all their classes are mutually incomparable) from model.containments,
-the same class-containment index the verifier reads, and a maximum
-Sperner system is exactly a maximum clique in that graph.
+Candidate k-partitions are generated block by block (the block holding
+the smallest unplaced element is drawn from the rest with
+itertools.combinations, the last block is what remains) and sorted into
+canonical lexicographic order.  candidate_count counts them without
+enumerating, so solve_sp refuses a search whose adjacency would be too
+large before enumerating.  Their pairwise-compatibility graph is built
+(two partitions are adjacent iff all their classes are mutually
+incomparable) from model.containments, the same class-containment index
+the verifier reads, and a maximum Sperner system is exactly a maximum
+clique in that graph.
 
 The clique solver is a deterministic branch-and-bound with greedy-coloring
 upper bounds over bitmask candidate sets.  One routine, _color, does every
@@ -36,6 +41,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations, compress
+from math import comb
 
 from .model import Partition, PartitionSystem, containments, verify_sperner
 
@@ -43,6 +50,7 @@ __all__ = [
     "CandidateSet",
     "CompatibilityGraph",
     "SearchOutcome",
+    "candidate_count",
     "enumerate_partitions",
     "build_graph",
     "max_clique",
@@ -85,12 +93,37 @@ class SearchOutcome:
     root_bound: int
 
 
+def candidate_count(n: int, k: int, min_class_size: int = 2) -> int:
+    """How many candidates enumerate_partitions yields, counted without enumerating.
+
+    Counted the way they are generated: the block holding the smallest of
+    i elements has some size s and C(i-1, s-1) choices of its other
+    elements, and the i-s elements left form one block fewer.
+    """
+    if n < 0 or k < 1:
+        return 0
+    ways = [1] + [0] * n  # ways[i]: partitions of i elements into as many blocks as rounds so far
+    for _ in range(k):
+        ways = [
+            sum(comb(i - 1, s - 1) * ways[i - s] for s in range(max(min_class_size, 1), i + 1))
+            for i in range(n + 1)
+        ]
+    return ways[n]
+
+
 def enumerate_partitions(n: int, k: int, min_class_size: int = 2) -> CandidateSet:
     """All k-partitions with class sizes >= min_class_size, each exactly once.
 
-    Generation assigns elements 0..n-1 to blocks in restricted-growth
-    style (a new block is opened only by its smallest element), so every
-    partition appears once; the result is then sorted canonically.
+    Generation goes block by block.  The next block holds the smallest
+    element not yet placed, and its other elements are drawn with
+    itertools.combinations from the rest; its size leaves room for the
+    blocks still to come to reach min_class_size, and the last block is
+    whatever remains.  So every partition appears once, and each block's
+    element tuple and mask are built once and shared by every candidate
+    that holds it.  Blocks open in ascending smallest element, so a stable
+    sort by size puts a candidate's classes in canonical order, and the
+    candidates are sorted by those element tuples, which is Partition's
+    canonical order.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -100,31 +133,36 @@ def enumerate_partitions(n: int, k: int, min_class_size: int = 2) -> CandidateSe
         raise ValueError(
             f"no candidates: n={n} cannot hold {k} classes of size >= {min_class_size}"
         )
-    out: list[Partition] = []
-    blocks: list[list[int]] = []
+    # one row per candidate: (element tuples, masks), both in canonical class order
+    rows: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = []
+    blocks: list[tuple[tuple[int, ...], int]] = []  # (elements, mask), ascending first element
 
-    def rec(i: int) -> None:
-        if i == n:
-            if len(blocks) == k and all(len(b) >= min_class_size for b in blocks):
-                out.append(Partition(n, [list(b) for b in blocks], k))
-            return
-        remaining = n - i
-        deficit = sum(max(0, min_class_size - len(b)) for b in blocks)
-        need_new = k - len(blocks)
-        if remaining < deficit + need_new * min_class_size:
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1)
-            b.pop()
-        if len(blocks) < k:
-            blocks.append([i])
-            rec(i + 1)
+    def rec(rest: tuple[int, ...], rest_mask: int, left: int) -> None:
+        if left == 1:
+            blocks.append((rest, rest_mask))
+            row = sorted(blocks, key=_block_size)
+            rows.append((tuple([b[0] for b in row]), tuple([b[1] for b in row])))
             blocks.pop()
+            return
+        first, others = rest[0], rest[1:]
+        for size in range(min_class_size, len(rest) - (left - 1) * min_class_size + 1):
+            for combo in combinations(others, size - 1):
+                mask = 1 << first
+                for e in combo:
+                    mask |= 1 << e
+                blocks.append(((first, *combo), mask))
+                rec(tuple([e for e in others if not mask >> e & 1]), rest_mask ^ mask, left - 1)
+                blocks.pop()
 
-    rec(0)
-    out.sort(key=lambda p: p._key())
-    return CandidateSet(n, k, min_class_size, tuple(out))
+    rec(tuple(range(n)), (1 << n) - 1, k)
+    rows.sort()
+    partitions = tuple(Partition._from_canonical(n, k, masks) for _, masks in rows)
+    rows.clear()  # rec's closure keeps rows alive until the cycle is collected
+    return CandidateSet(n, k, min_class_size, partitions)
+
+
+def _block_size(block: tuple[tuple[int, ...], int]) -> int:
+    return len(block[0])
 
 
 def build_graph(candidates: CandidateSet) -> CompatibilityGraph:
@@ -151,11 +189,11 @@ def build_graph(candidates: CandidateSet) -> CompatibilityGraph:
 
     full = (1 << num) - 1
     adj = []
-    for v, classes in enumerate(masks_list):
-        blocked = 1 << v
+    for classes in masks_list:
+        blocked = 0  # each conflict[c] holds v too, as an owner of c
         for c in classes:
             blocked |= conflict[c]
-        adj.append(full & ~blocked)
+        adj.append(full ^ blocked)
     return CompatibilityGraph(num, tuple(adj), candidates)
 
 
@@ -203,6 +241,18 @@ def _color(P: int, nadj, threshold: int = 0) -> tuple[list[int], list[int]]:
     return order, colors
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(P: int) -> list[int]:
+    """Ascending indices of P's set bits, read off its binary string in one pass.
+
+    Peeling P & -P instead costs a pass over the whole int per set bit.
+    """
+    digits = bin(P)[:1:-1].encode().translate(_BIT_VALUES)
+    return list(compress(range(len(digits)), digits))
+
+
 _GREEDY_TRIES = 24
 
 
@@ -219,11 +269,8 @@ def _greedy_clique(adj, num: int, bound: int, deadline: float | None = None) -> 
         clique = 1 << s
         P = adj[s]
         while P:
-            tmp, pick, pick_score = P, -1, -1
-            while tmp:
-                lsb = tmp & -tmp
-                v = lsb.bit_length() - 1
-                tmp ^= lsb
+            pick, pick_score = -1, -1
+            for v in _set_bits(P):
                 score = (adj[v] & P).bit_count()
                 if score > pick_score:
                     pick_score, pick = score, v
@@ -387,7 +434,7 @@ def max_clique(
     except _Stop as stop:
         proven = stop.proven
 
-    vertices = tuple(i for i in range(num) if state["mask"] >> i & 1)
+    vertices = tuple(_set_bits(state["mask"]))
     return _outcome(graph, state["best"], vertices, proven, state["nodes"], t0, root_bound)
 
 
@@ -446,6 +493,14 @@ def tiny_oracle(graph: CompatibilityGraph) -> int:
     return best
 
 
+# The largest adjacency solve_sp builds: N candidates take N bitmask rows
+# of N bits, N * ceil(N/8) bytes.  The perfbench search cases stay far
+# below it, the largest being (11,5) at 17,325 candidates and 37.5 MB.
+# (11,4), 56,980 candidates and 0.41 GB, is admitted; (12,4), 302,995
+# candidates and 11.5 GB, is refused before enumeration.
+MAX_ADJ_BYTES = 1_000_000_000
+
+
 def solve_sp(
     n: int,
     k: int,
@@ -456,8 +511,16 @@ def solve_sp(
     """Enumerate candidates, build the graph, run max_clique, verify the witness.
 
     The clique search always takes the symmetry-reduced path; call
-    max_clique directly for the plain one.
+    max_clique directly for the plain one.  A search whose adjacency would
+    exceed MAX_ADJ_BYTES raises ValueError before anything is enumerated.
     """
+    count = candidate_count(n, k, min_class_size)
+    adj_bytes = count * -(-count // 8)
+    if adj_bytes > MAX_ADJ_BYTES:
+        raise ValueError(
+            f"the search has {count:,} candidates, whose adjacency takes {adj_bytes:,} bytes, "
+            f"over the cap of {MAX_ADJ_BYTES:,}"
+        )
     candidates = enumerate_partitions(n, k, min_class_size)
     graph = build_graph(candidates)
     outcome = max_clique(graph, time_budget=time_budget, target=target, symmetry_reduction=True)

@@ -7,6 +7,7 @@ from sperner import (
     SpParams,
     best_lower,
     best_upper,
+    bounds_table,
     counting_upper_bound,
     known_exact,
     load_fixture,
@@ -145,6 +146,16 @@ def test_bounds_consistency_grid():
         for k in range(1, n + 1):
             result = sp_bounds(n, k)
             assert result.lower <= result.upper, (n, k)
+
+
+def test_bounds_table_matches_sp_bounds():
+    for k in range(1, 13):
+        expected = []
+        for n in range(k, 61):
+            result = sp_bounds(n, k)
+            expected.append((n, result.lower, result.upper))
+        assert bounds_table(k, 60) == expected, k
+    assert bounds_table(5, 4) == []
 
 
 def test_exact_cases():

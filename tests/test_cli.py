@@ -129,6 +129,14 @@ def test_construct_oversized_plan_is_usage_error(capsys, monkeypatch):
     assert "37,442,160 partitions" in err
 
 
+def test_construct_k_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "construct", "--n", "3", "--k", "0")
+    assert code == 64
+    assert out == ""
+    assert "k >= 1" in err
+    assert "n < k" not in err
+
+
 def test_construct_unknown_method_is_usage_error(capsys):
     code, _, _ = run(capsys, "construct", "--n", "9", "--k", "4", "--method", "bogus")
     assert code == 64
@@ -240,6 +248,19 @@ def test_search_budget_exhausted_exit_3(capsys):
     code, out, _ = run(capsys, "search", "--n", "10", "--k", "4", "--time-limit", "1")
     assert code == 3
     assert "not proven" in out
+
+
+def test_search_oversized_is_usage_error(capsys, monkeypatch):
+    import sperner.search
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a search over the cap")
+
+    monkeypatch.setattr(sperner.search, "enumerate_partitions", no_enumeration)
+    code, out, err = run(capsys, "search", "--n", "12", "--k", "4", "--target", "16")
+    assert code == 64
+    assert out == ""
+    assert "302,995 candidates" in err and "11,475,935,625 bytes" in err
 
 
 def test_search_writes_witness(capsys, tmp_path):

@@ -1,7 +1,10 @@
 import random
 from math import comb
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sperner import (
     Partition,
@@ -178,6 +181,16 @@ def test_verify_same_report_on_both_containment_branches(monkeypatch):
     pairwise = [verify_sperner(system) for system in systems]
     assert pairwise == enumerated
     assert any(not report.valid for report in pairwise)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.lists(st.integers(1, 2**n - 1), max_size=40)))
+def test_containments_match_pairwise_scan(classes):
+    # each (proper subset, superset) pair once, on both branches
+    expected = sorted({(a, b) for a in classes for b in classes if a != b and a & ~b == 0})
+    assert sorted(model.containments(classes)) == expected
+    with patch.object(model, "_SUBSET_ENUM_LIMIT", -1):
+        assert sorted(model.containments(classes)) == expected
 
 
 def test_relabel_identity_and_validity():

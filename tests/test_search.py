@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import sperner.search
 from sperner import (
     build_graph,
+    candidate_count,
     enumerate_partitions,
     incomparable,
     load_fixture,
@@ -19,7 +20,14 @@ from sperner import (
     verify_sperner,
 )
 from sperner.model import Partition
-from sperner.search import _color, _orbit_key, graph_from_edges, tiny_oracle
+from sperner.search import (
+    _color,
+    _greedy_clique,
+    _orbit_key,
+    _set_bits,
+    graph_from_edges,
+    tiny_oracle,
+)
 
 
 def shape_count(n, k, min_size):
@@ -48,6 +56,54 @@ def shape_count(n, k, min_size):
     return total
 
 
+def restricted_growth_reference(n, k, min_size):
+    """Element-by-element generator (a block is opened by its smallest element), sorted by _key()."""
+    out, blocks = [], []
+
+    def rec(i):
+        if i == n:
+            if len(blocks) == k and all(len(b) >= min_size for b in blocks):
+                out.append(Partition(n, [list(b) for b in blocks], k))
+            return
+        for b in blocks:
+            b.append(i)
+            rec(i + 1)
+            b.pop()
+        if len(blocks) < k:
+            blocks.append([i])
+            rec(i + 1)
+            blocks.pop()
+
+    rec(0)
+    out.sort(key=lambda p: p._key())
+    return out
+
+
+def lsb_peeling_greedy(adj, num, bound):
+    """The greedy seed as written before _set_bits: candidates are peeled off P lowest bit first."""
+    best = 0
+    starts = sorted(range(num), key=lambda v: (-adj[v].bit_count(), v))[: sperner.search._GREEDY_TRIES]
+    for s in starts:
+        clique = 1 << s
+        P = adj[s]
+        while P:
+            tmp, pick, pick_score = P, -1, -1
+            while tmp:
+                lsb = tmp & -tmp
+                v = lsb.bit_length() - 1
+                tmp ^= lsb
+                score = (adj[v] & P).bit_count()
+                if score > pick_score:
+                    pick_score, pick = score, v
+            clique |= 1 << pick
+            P &= adj[pick]
+        if clique.bit_count() > best.bit_count():
+            best = clique
+        if best.bit_count() >= bound:
+            break
+    return best
+
+
 # every (n, k) with n <= 8 that has a candidate with all classes of size >= 2
 GRID_8 = [(n, k) for n in range(2, 9) for k in range(1, n // 2 + 1)]
 
@@ -57,6 +113,14 @@ def random_graph(rng, num, p):
         (u, v) for u in range(num) for v in range(u + 1, num) if rng.random() < p
     ]
     return graph_from_edges(num, edges)
+
+
+def oracle_graphs(n, k):
+    """The random graphs of test_agrees_with_oracle_on_random_graphs, then the (n, k) candidate graph."""
+    rng = random.Random(20240815)
+    for num, p in [(15, 0.3), (15, 0.7), (25, 0.5), (35, 0.4), (40, 0.8), (48, 0.6)]:
+        yield random_graph(rng, num, p)
+    yield build_graph(enumerate_partitions(n, k, 2))
 
 
 class TestEnumeration:
@@ -74,7 +138,8 @@ class TestEnumeration:
 
     def test_matches_shape_oracle(self):
         for n, k, m in [(6, 3, 1), (6, 3, 2), (8, 4, 2), (8, 3, 2), (10, 4, 2), (10, 4, 1)]:
-            assert len(enumerate_partitions(n, k, m)) == shape_count(n, k, m), (n, k, m)
+            count = candidate_count(n, k, m)
+            assert len(enumerate_partitions(n, k, m)) == shape_count(n, k, m) == count, (n, k, m)
 
     def test_all_distinct_and_sorted(self):
         candidates = enumerate_partitions(7, 3, 2)
@@ -85,6 +150,24 @@ class TestEnumeration:
     def test_min_size_respected(self):
         candidates = enumerate_partitions(8, 3, 2)
         assert all(min(p.sizes) >= 2 for p in candidates.partitions)
+
+    @pytest.mark.parametrize(
+        "n,k,min_size",
+        [(n, k, m) for m in (1, 2) for n in range(1, 10) for k in range(1, n // m + 1)]
+        + [(10, 4, 2), (12, 6, 2)],
+    )
+    def test_matches_restricted_growth_reference(self, n, k, min_size):
+        # same partitions, same canonical order
+        candidates = enumerate_partitions(n, k, min_size).partitions
+        assert list(candidates) == restricted_growth_reference(n, k, min_size)
+
+    def test_candidate_count_matches_shape_count(self):
+        for n in range(0, 16):
+            for k in range(1, 8):
+                for m in (1, 2, 3):
+                    assert candidate_count(n, k, m) == shape_count(n, k, m), (n, k, m)
+        assert candidate_count(12, 4) == 302_995
+        assert candidate_count(-1, 2) == candidate_count(3, 0) == 0
 
     def test_infeasible(self):
         with pytest.raises(ValueError, match="no candidates"):
@@ -144,6 +227,20 @@ class TestGraph:
         assert list(build_graph(candidates).adj) == expected
 
 
+class TestGreedySeed:
+    def test_matches_lsb_peeling_loop(self):
+        for graph in oracle_graphs(9, 3):
+            for bound in (3, graph.num_vertices + 1):
+                got = _greedy_clique(graph.adj, graph.num_vertices, bound)
+                assert got == lsb_peeling_greedy(graph.adj, graph.num_vertices, bound)
+
+    def test_set_bits(self):
+        rng = random.Random(3)
+        for width in (0, 1, 7, 64, 1000):
+            P = rng.getrandbits(width) if width else 0
+            assert _set_bits(P) == [v for v in range(width) if P >> v & 1]
+
+
 class TestTinyOracle:
     def test_empty_graph(self):
         assert tiny_oracle(graph_from_edges(0, [])) == 0
@@ -159,16 +256,9 @@ class TestTinyOracle:
 
 
 class TestColor:
-    def graphs(self):
-        # the graphs of test_agrees_with_oracle_on_random_graphs, and (8,3)
-        rng = random.Random(20240815)
-        for num, p in [(15, 0.3), (15, 0.7), (25, 0.5), (35, 0.4), (40, 0.8), (48, 0.6)]:
-            yield random_graph(rng, num, p)
-        yield build_graph(enumerate_partitions(8, 3, 2))
-
     def test_proper_coloring_and_threshold_tail(self):
         rng = random.Random(7)
-        for graph in self.graphs():
+        for graph in oracle_graphs(8, 3):
             nadj = [~a for a in graph.adj]
             full = (1 << graph.num_vertices) - 1
             for P in (full, rng.getrandbits(graph.num_vertices)):
@@ -182,7 +272,7 @@ class TestColor:
                     assert list(zip(*_color(P, nadj, t))) == tail
 
     def test_root_bound_is_last_color(self):
-        for graph in self.graphs():
+        for graph in oracle_graphs(8, 3):
             full = (1 << graph.num_vertices) - 1
             colors = _color(full, [~a for a in graph.adj])[1]
             # the target only stops the search early; the root bound comes first
@@ -353,6 +443,17 @@ class TestReducedSearch:
 
 
 class TestSolveSp:
+    def test_refuses_oversized_adjacency_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("enumerated a search over the cap")
+
+        monkeypatch.setattr(sperner.search, "enumerate_partitions", no_enumeration)
+        with pytest.raises(ValueError, match="302,995 candidates.*11,475,935,625 bytes"):
+            solve_sp(12, 4)
+        # (11,4), about 0.41 GB, is under the cap and goes on to enumerate
+        with pytest.raises(AssertionError, match="enumerated"):
+            solve_sp(11, 4)
+
     def test_witness_roundtrip(self):
         outcome = solve_sp(7, 3)
         assert outcome.size == 5
