@@ -15,7 +15,6 @@ from .bounds import FIXTURES, derivation
 from .fixtures import load_fixture
 from .model import Partition, PartitionSystem, verify_sperner
 from .rotation import (
-    INF,
     CircularLayout,
     InitialPartition,
     check_difference_property,
@@ -43,6 +42,17 @@ def _verified(system: PartitionSystem) -> PartitionSystem:
             f"internal error: construction {system.name!r} produced an invalid system: {first}"
         )
     return system
+
+
+def _developed(init: InitialPartition, name: str, size: int) -> PartitionSystem:
+    """Check the difference property, develop, and verify the promised size and antichain."""
+    check = check_difference_property(init)
+    if not check.ok:
+        raise RuntimeError(f"internal error: initial partition rejected: {check.problems}")
+    system = develop(init, name=name)
+    if len(system) != size:
+        raise RuntimeError("internal error: developed system has the wrong size")
+    return _verified(system)
 
 
 def construct_k2(n: int) -> PartitionSystem:
@@ -84,11 +94,7 @@ def construct_2k1(k: int) -> PartitionSystem:
         return construct_k2(5).with_name("construct_2k1(2)")
     if k == 4:
         return _verified(load_fixture("fig-9-4").with_name("construct_2k1(4)"))
-    init = solve_initial_2k1(k)
-    system = develop(init, name=f"construct_2k1({k})")
-    if len(system) != 2 * k:
-        raise RuntimeError("internal error: developed system has the wrong size")
-    return _verified(system)
+    return _developed(solve_initial_2k1(k), f"construct_2k1({k})", 2 * k)
 
 
 def construct_2k2(k: int) -> PartitionSystem:
@@ -96,20 +102,15 @@ def construct_2k2(k: int) -> PartitionSystem:
 
     Develops the initial partition with triangles {1, 2, center} and
     {k+1, k+2, k+3} plus the edges {i, 2k+4-i} for i = 3..k on a
-    (2k+1)-circle with center.  The triangles realize only the distances
-    1, 2 and INF while the edges realize 3..k once each.
+    (2k+1)-circle with center (labeled 2k+2).  The triangles realize only
+    the distances 1, 2 and INF while the edges realize 3..k once each.
     """
     if k < 3:
         raise ValueError("construct_2k2 requires k >= 3 (k = 2 is the two-class case)")
     layout = CircularLayout(2 * k + 1, has_center=True)
-    classes = [(1, 2, INF), (k + 1, k + 2, k + 3)]
+    classes = [(1, 2, layout.center), (k + 1, k + 2, k + 3)]
     classes += [(i, 2 * k + 4 - i) for i in range(3, k + 1)]
-    init = InitialPartition(layout, classes)
-    check = check_difference_property(init)
-    if not check.ok:
-        raise RuntimeError(f"internal error: initial partition rejected: {check.problems}")
-    system = develop(init, name=f"construct_2k2({k})")
-    return _verified(system)
+    return _developed(InitialPartition(layout, classes), f"construct_2k2({k})", 2 * k + 1)
 
 
 def construct_3k1(k: int) -> PartitionSystem:
@@ -128,14 +129,7 @@ def construct_3k1(k: int) -> PartitionSystem:
     layout = CircularLayout(3 * k - 1, has_center=False)
     classes = [(1, 3 * k - 1), (2, k + 1, 3 * k - 2)]
     classes += [(i, 2 * k + 2 - i, 3 * k - i) for i in range(3, k + 1)]
-    init = InitialPartition(layout, classes)
-    check = check_difference_property(init)
-    if not check.ok:
-        raise RuntimeError(f"internal error: initial partition rejected: {check.problems}")
-    system = develop(init, name=f"construct_3k1({k})")
-    if len(system) != 3 * k - 1:
-        raise RuntimeError("internal error: developed system has the wrong size")
-    return _verified(system)
+    return _developed(InitialPartition(layout, classes), f"construct_3k1({k})", 3 * k - 1)
 
 
 def _require_sperner(base: PartitionSystem) -> None:

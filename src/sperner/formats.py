@@ -7,8 +7,9 @@ Two interchangeable representations:
   separated by ``|``, elements by ``,``.  Lines starting with ``#`` are
   comments; ``# name: X`` sets the system name.  With ``base=1`` labels
   1..n are shifted down by one; the token ``inf`` always denotes the
-  final internal element n-1 (the center point of the rotational
-  layouts).
+  final internal element n-1.  That is the center point of the
+  rotational layouts, which rotation.CircularLayout labels m+1 = n under
+  base=1, so ``inf`` and ``n`` name the same element there.
 
 * JSON: a versioned object with explicit ``n``, ``k``, ``name``,
   0-based ``partitions`` and a free-form ``metadata`` map.
@@ -97,11 +98,13 @@ def _parse_json(text: str) -> PartitionSystem:
     for key in ("n", "k", "partitions"):
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
+    # type() rather than isinstance() or ==: JSON true and false load as
+    # bool, an int subclass, and true == 1
     version = doc.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}")
     n, k = doc["n"], doc["k"]
-    if not (isinstance(n, int) and isinstance(k, int) and n >= 1 and k >= 1):
+    if not (type(n) is int and type(k) is int and n >= 1 and k >= 1):
         raise ParseError("n and k must be positive integers")
     raw = doc["partitions"]
     if not isinstance(raw, list):
@@ -118,7 +121,7 @@ def _parse_json(text: str) -> PartitionSystem:
 
 
 def _check_int(e, idx: int) -> int:
-    if not isinstance(e, int):
+    if type(e) is not int:
         raise ParseError(f"partition {idx}: element {e!r} is not an integer")
     return e
 

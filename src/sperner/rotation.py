@@ -2,9 +2,11 @@
 
 The rotational constructions draw one initial partition as edges and
 triangles on m points placed around a circle (labeled 1..m), optionally
-with one extra point at the circle's center.  Rotating the circle labels
-m times while the center stays fixed ("developing") turns the initial
-partition into a system of m partitions.
+with one extra point at the circle's center, CircularLayout.center = m+1
+(point x is mask element x-1, so the center is the element m that the
+text format's ``inf`` names).  Rotating the circle labels m times while
+the center stays fixed ("developing") turns the initial partition into a
+system of m partitions.
 
 Whether the developed system is Sperner can be decided locally from the
 initial partition.  The distance between two circle points is measured
@@ -34,7 +36,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .model import Partition, PartitionSystem
+from .model import Partition, PartitionSystem, containments, mask_of
 
 __all__ = [
     "INF",
@@ -47,15 +49,14 @@ __all__ = [
     "solve_initial_2k1",
 ]
 
-# Distance assigned to any pair involving the center point; also used as
-# the center's own label inside initial-partition classes.  float("inf")
-# sorts after every int, which keeps mixed tuples orderable.
+# Distance assigned to any pair involving the center point.  It sorts
+# after every finite distance.
 INF = float("inf")
 
 
 @dataclass(frozen=True)
 class CircularLayout:
-    """m circle points labeled 1..m, plus an optional center point."""
+    """m circle points labeled 1..m, plus an optional center point labeled m+1."""
 
     m: int
     has_center: bool = False
@@ -68,19 +69,21 @@ class CircularLayout:
     def ground_size(self) -> int:
         return self.m + 1 if self.has_center else self.m
 
-    def points(self) -> tuple:
-        pts: tuple = tuple(range(1, self.m + 1))
-        if self.has_center:
-            pts += (INF,)
-        return pts
+    @property
+    def center(self) -> int:
+        """The center's label, m+1; a layout point only when has_center."""
+        return self.m + 1
+
+    def points(self) -> tuple[int, ...]:
+        return tuple(range(1, self.ground_size + 1))
 
     def _check_point(self, x) -> None:
-        if x == INF:
-            if not self.has_center:
-                raise ValueError("layout has no center point")
-            return
-        if not (isinstance(x, int) and 1 <= x <= self.m):
-            raise ValueError(f"point {x!r} is not on the circle 1..{self.m}")
+        if not (type(x) is int and 1 <= x <= self.ground_size):  # refuses True and 1.0
+            if self.has_center:
+                where = f"and the center layout.center = {self.center}"
+            else:
+                where = "and the layout has no center point"
+            raise ValueError(f"point {x!r} is not a layout point; the circle is 1..{self.m} {where}")
 
 
 def difference(layout: CircularLayout, i, j):
@@ -89,7 +92,7 @@ def difference(layout: CircularLayout, i, j):
         raise ValueError("difference of a point with itself is undefined")
     layout._check_point(i)
     layout._check_point(j)
-    if i == INF or j == INF:
+    if layout.center in (i, j):
         return INF
     d = (i - j) % layout.m
     return min(d, layout.m - d)
@@ -98,17 +101,21 @@ def difference(layout: CircularLayout, i, j):
 class InitialPartition:
     """A partition of a circular layout's points, the seed of develop().
 
-    Classes are given as iterables of point labels (1..m, INF for the
-    center).  class_differences[c] is the sorted multiset of pairwise
-    distances inside class c.
+    Classes are given as iterables of point labels (1..m, layout.center
+    for the center).  class_differences[c] is the sorted multiset of
+    pairwise distances inside class c.
     """
 
     __slots__ = ("layout", "classes", "class_differences")
 
     def __init__(self, layout: CircularLayout, classes):
+        classes = [tuple(c) for c in classes]
+        for c in classes:
+            for x in c:
+                layout._check_point(x)
         normalized = tuple(tuple(sorted(c)) for c in classes)
         covered = sorted(x for c in normalized for x in c)
-        if covered != sorted(layout.points()):
+        if covered != list(layout.points()):
             raise ValueError("classes must cover every layout point exactly once")
         self.layout = layout
         self.classes = normalized
@@ -117,37 +124,35 @@ class InitialPartition:
             for c in normalized
         )
 
+    def _masks(self) -> list[int]:
+        """The classes as 0-based masks, in class order: point x -> element x-1."""
+        return [mask_of(x - 1 for x in c) for c in self.classes]
+
     def to_partition(self) -> Partition:
-        """Internal 0-based form: circle point x -> x-1, center -> m."""
-        m = self.layout.m
-        masks = []
-        for c in self.classes:
-            mask = 0
-            for x in c:
-                mask |= 1 << (m if x == INF else int(x) - 1)
-            masks.append(mask)
-        return Partition(self.layout.ground_size, masks)
+        return Partition(self.layout.ground_size, self._masks())
 
     def __repr__(self):
         body = ", ".join("{" + ",".join(str(x) for x in c) + "}" for c in self.classes)
         return f"<InitialPartition m={self.layout.m} center={self.layout.has_center} {body}>"
 
 
+def _rotate(mask: int, t: int, m: int) -> int:
+    """Turn a class mask t steps (0 <= t < m) around the m-circle.
+
+    Circle element e goes to (e + t) mod m; the center bit m stays fixed.
+    """
+    circle = (1 << m) - 1
+    ring = mask & circle
+    return ((ring << t | ring >> (m - t)) & circle) | (mask ^ ring)
+
+
 def develop(init: InitialPartition, name: str | None = None) -> PartitionSystem:
     """Rotate the initial partition m times; rotation 0 is the initial partition itself."""
     m = init.layout.m
     n = init.layout.ground_size
-    k = len(init.classes)
-    parts = []
-    for t in range(m):
-        masks = []
-        for c in init.classes:
-            mask = 0
-            for x in c:
-                mask |= 1 << (m if x == INF else (int(x) - 1 + t) % m)
-            masks.append(mask)
-        parts.append(Partition(n, masks, k))
-    return PartitionSystem(n, k, parts, name=name)
+    masks = init._masks()
+    parts = [Partition(n, [_rotate(c, t, m) for c in masks], len(masks)) for t in range(m)]
+    return PartitionSystem(n, len(masks), parts, name=name)
 
 
 @dataclass(frozen=True)
@@ -157,10 +162,6 @@ class DifferenceCheck:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _rotated(cls: tuple, t: int, m: int) -> frozenset:
-    return frozenset(x if x == INF else ((int(x) - 1 + t) % m) + 1 for x in cls)
 
 
 def check_difference_property(init: InitialPartition) -> DifferenceCheck:
@@ -199,43 +200,33 @@ def check_difference_property(init: InitialPartition) -> DifferenceCheck:
                 )
 
     # Orbit enumeration: every rotated copy of every large class must be
-    # distinct from (and incomparable with) every other copy.
-    seen: dict[frozenset, tuple[int, int]] = {}
-    copies: list[tuple[frozenset, int, int]] = []
-    for idx, (c, _) in enumerate(larges):
+    # distinct from (and incomparable with) every other copy.  owner maps
+    # each copy to the class it came from; repeats and collisions show up
+    # as copies already owned, containments between copies of different
+    # sizes through model.containments.
+    owner: dict[int, tuple[int, ...]] = {}
+    for c, mask in zip(init.classes, init._masks()):
+        if len(c) < 3:
+            continue
         for t in range(m):
-            rot = _rotated(c, t, m)
-            if rot in seen:
-                pidx, pt = seen[rot]
-                if pidx == idx:
+            rot = _rotate(mask, t, m)
+            if rot in owner:
+                if owner[rot] == c:
                     problems.append(f"class {set(c)} repeats itself when developed")
                 else:
                     problems.append(
-                        f"classes {set(larges[pidx][0])} and {set(c)} collide when developed"
+                        f"classes {set(owner[rot])} and {set(c)} collide when developed"
                     )
                 break
-            seen[rot] = (idx, t)
-            copies.append((rot, idx, t))
-    large_sizes = sorted({len(c) for c, _ in larges})
-    if len(large_sizes) > 1:
-        by_size: dict[int, set[frozenset]] = {}
-        for rot, _, _ in copies:
-            by_size.setdefault(len(rot), set()).add(rot)
-        for rot, idx, _ in copies:
-            for s in large_sizes:
-                if s >= len(rot):
-                    break
-                for sub in combinations(sorted(rot), s):
-                    if frozenset(sub) in by_size.get(s, ()):
-                        problems.append(
-                            f"a developed copy of {set(larges[idx][0])} contains a smaller developed class"
-                        )
+            owner[rot] = c
+    for _, sup in containments(owner):
+        problems.append(f"a developed copy of {set(owner[sup])} contains a smaller developed class")
 
     return DifferenceCheck(not problems, tuple(problems))
 
 
 # The seed of the paper's Figure 2 (the (17, 8) system).
-_FIG2_CLASSES = ((1, 5, 9), (8, 11), (7, 12), (6, 13), (2, 16), (4, 10), (3, INF), (14, 15))
+_FIG2_CLASSES = ((1, 5, 9), (8, 11), (7, 12), (6, 13), (2, 16), (4, 10), (3, 17), (14, 15))
 
 
 def _starter_runs(h: int) -> list[tuple[int, Iterable[int]]]:
@@ -272,9 +263,9 @@ def solve_initial_2k1(k: int) -> InitialPartition:
     edges sharing a midpoint nest, so they never meet.  The runs realize
     each finite distance once and leave four points: a triangle
     {t, t+k/2, t+k} and one point e.  Rotating by x -> (x - t) mod 2k + 1
-    puts the triangle in place, and e joins the center.  The runs for
-    k = 0 mod 4 need k >= 12, so k = 8 takes the seed of the paper's
-    Figure 2.  No initial partition exists for k = 4 (all 1,260
+    puts the triangle in place, and e joins the center, labeled 2k+1.
+    The runs for k = 0 mod 4 need k >= 12, so k = 8 takes the seed of the
+    paper's Figure 2.  No initial partition exists for k = 4 (all 1,260
     candidates fail), and that case raises.
     """
     if k < 2 or k % 2:
@@ -294,7 +285,7 @@ def solve_initial_2k1(k: int) -> InitialPartition:
             raise RuntimeError(f"internal error: the starter edges for k={k} overlap")
         t = corners[0]
         (e,) = free - {t, (t + h) % m, (t + k) % m}
-        classes = [(1, 1 + h, 1 + k), ((e - t) % m + 1, INF)]
+        classes = [(1, 1 + h, 1 + k), ((e - t) % m + 1, m + 1)]
         classes += [((x - t) % m + 1, (y - t) % m + 1) for x, y in edges]
     init = InitialPartition(CircularLayout(m, has_center=True), classes)
     check = check_difference_property(init)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations, compress
-from math import comb
+from math import comb, isnan
 
 from .model import Partition, PartitionSystem, containments, verify_sperner
 
@@ -494,10 +494,13 @@ def tiny_oracle(graph: CompatibilityGraph) -> int:
 
 
 # The largest adjacency solve_sp builds: N candidates take N bitmask rows
-# of N bits, N * ceil(N/8) bytes.  The perfbench search cases stay far
-# below it, the largest being (11,5) at 17,325 candidates and 37.5 MB.
-# (11,4), 56,980 candidates and 0.41 GB, is admitted; (12,4), 302,995
-# candidates and 11.5 GB, is refused before enumeration.
+# of N bits, N * ceil(N/8) bytes.  max_clique also holds nadj, the
+# complement of every row, a second copy of the same size, so a search
+# needs about twice the capped bytes.  The perfbench search cases stay far
+# below it, the largest being (11,5) at 17,325 candidates and 37.5 MB per
+# copy.  (11,4), 56,980 candidates and 0.41 GB per copy (about 0.8 GB in
+# all), is admitted; (12,4), 302,995 candidates and 11.5 GB, is refused
+# before enumeration.
 MAX_ADJ_BYTES = 1_000_000_000
 
 
@@ -512,8 +515,11 @@ def solve_sp(
 
     The clique search always takes the symmetry-reduced path; call
     max_clique directly for the plain one.  A search whose adjacency would
-    exceed MAX_ADJ_BYTES raises ValueError before anything is enumerated.
+    exceed MAX_ADJ_BYTES, or a NaN time_budget (no deadline would ever
+    pass), raises ValueError before anything is enumerated.
     """
+    if time_budget is not None and isnan(time_budget):
+        raise ValueError("the time budget is NaN; give a number of seconds")
     count = candidate_count(n, k, min_class_size)
     adj_bytes = count * -(-count // 8)
     if adj_bytes > MAX_ADJ_BYTES:

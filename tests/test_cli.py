@@ -250,6 +250,20 @@ def test_search_budget_exhausted_exit_3(capsys):
     assert "not proven" in out
 
 
+def test_search_nan_time_limit_is_usage_error(capsys, monkeypatch):
+    # every comparison with NaN is false, so a NaN budget would never expire
+    import sperner.search
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a search with a NaN budget")
+
+    monkeypatch.setattr(sperner.search, "enumerate_partitions", no_enumeration)
+    code, out, err = run(capsys, "search", "--n", "7", "--k", "3", "--time-limit", "nan")
+    assert code == 64
+    assert out == ""
+    assert "NaN" in err
+
+
 def test_search_oversized_is_usage_error(capsys, monkeypatch):
     import sperner.search
 

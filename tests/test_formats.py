@@ -107,6 +107,21 @@ def test_parse_json_errors():
         parse('{"format_version": 99, "n": 7, "k": 3, "partitions": []}')
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"n": 2, "k": 2, "partitions": [[[false], [true]]]}', "element False is not an integer"),
+        ('{"n": true, "k": 1, "partitions": [[[0]]]}', "n and k must be positive integers"),
+        ('{"n": 2, "k": true, "partitions": [[[0, 1]]]}', "n and k must be positive integers"),
+        ('{"format_version": true, "n": 1, "k": 1, "partitions": []}', "format_version True"),
+    ],
+)
+def test_parse_json_rejects_booleans(doc, message):
+    # JSON true and false load as Python bools, which are ints
+    with pytest.raises(ParseError, match=message):
+        parse(doc)
+
+
 def test_fixture_texts_keep_original_labels():
     assert "inf" in fixture_text("fig-17-8")
     assert "base=1" in fixture_text("fig-9-4")

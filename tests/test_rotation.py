@@ -14,12 +14,14 @@ from sperner import (
     solve_initial_2k1,
     verify_sperner,
 )
+from sperner.model import elements_of, mask_of
+from sperner.rotation import _rotate
 
 
 def fig2_initial():
     layout = CircularLayout(16, has_center=True)
     return InitialPartition(
-        layout, [(1, 5, 9), (8, 11), (7, 12), (6, 13), (2, 16), (4, 10), (3, INF), (14, 15)]
+        layout, [(1, 5, 9), (8, 11), (7, 12), (6, 13), (2, 16), (4, 10), (3, layout.center), (14, 15)]
     )
 
 
@@ -27,7 +29,7 @@ def test_difference_values():
     layout = CircularLayout(16, has_center=True)
     assert difference(layout, 1, 9) == 8
     assert difference(layout, 2, 16) == 2
-    assert difference(layout, 3, INF) == INF
+    assert difference(layout, 3, layout.center) == INF
     assert difference(layout, 16, 1) == 1
 
 
@@ -40,13 +42,40 @@ def test_difference_same_point_rejected():
 def test_difference_requires_center():
     layout = CircularLayout(8)
     with pytest.raises(ValueError, match="no center"):
-        difference(layout, 1, INF)
+        difference(layout, 1, layout.center)
+
+
+def test_initial_partition_checks_every_label():
+    # 1.0 == 1 would pass the cover check; every label must be a layout point
+    with pytest.raises(ValueError, match="1.0 is not a layout point"):
+        InitialPartition(CircularLayout(6), [(1.0,), (2, 3), (4, 5, 6)])
+    with pytest.raises(ValueError, match="True is not a layout point"):
+        InitialPartition(CircularLayout(3), [(True, 2, 3)])
+    with pytest.raises(ValueError, match="'a' is not a layout point"):
+        InitialPartition(CircularLayout(3), [(3, "a"), (1, 2)])
+    with pytest.raises(ValueError, match="layout has no center"):
+        InitialPartition(CircularLayout(6), [(1, 2, 7), (3, 4), (5, 6)])
+    layout = CircularLayout(8, has_center=True)
+    with pytest.raises(ValueError, match="layout.center = 9"):
+        InitialPartition(layout, [(1, 2), (3, 4), (5, 6), (7, 8, INF)])
+    init = InitialPartition(layout, [(1, 2), (3, 4), (5, 6), (7, 8, layout.center)])
+    assert init.to_partition().classes[-1] == 0b111000000
 
 
 def test_initial_partition_must_cover():
     layout = CircularLayout(6)
     with pytest.raises(ValueError, match="cover"):
         InitialPartition(layout, [(1, 2), (3, 4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 40).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(0, m - 1), st.integers(0, (1 << (m + 1)) - 1)
+)))
+def test_rotate_turns_the_circle_and_fixes_the_center(args):
+    m, t, mask = args
+    turned = [e if e == m else (e + t) % m for e in elements_of(mask)]
+    assert _rotate(mask, t, m) == mask_of(turned)
 
 
 def test_develop_identity_rotation():
@@ -93,7 +122,7 @@ def test_difference_property_fig2():
 
 def test_difference_property_duplicate_edge():
     layout = CircularLayout(8, has_center=True)
-    init = InitialPartition(layout, [(1, 2), (5, 6), (3, 8), (4, 7, INF)])
+    init = InitialPartition(layout, [(1, 2), (5, 6), (3, 8), (4, 7, layout.center)])
     check = check_difference_property(init)
     assert not check.ok
     assert any("edge difference 1" in p for p in check.problems)
@@ -101,7 +130,7 @@ def test_difference_property_duplicate_edge():
 
 def test_difference_property_2k2_seed():
     layout = CircularLayout(9, has_center=True)
-    init = InitialPartition(layout, [(1, 2, INF), (3, 9), (4, 8), (5, 6, 7)])
+    init = InitialPartition(layout, [(1, 2, layout.center), (3, 9), (4, 8), (5, 6, 7)])
     assert init.class_differences == ((1, INF, INF), (3,), (4,), (1, 1, 2))
     assert check_difference_property(init).ok
 
@@ -109,7 +138,7 @@ def test_difference_property_2k2_seed():
 def test_difference_property_diameter_edge():
     # {1, 5} realizes the diameter on an 8-circle and repeats after 4 rotations
     layout = CircularLayout(8, has_center=True)
-    init = InitialPartition(layout, [(1, 5), (2, 3), (4, 6, 8), (7, INF)])
+    init = InitialPartition(layout, [(1, 5), (2, 3), (4, 6, 8), (7, layout.center)])
     check = check_difference_property(init)
     assert not check.ok
     assert any("diameter" in p for p in check.problems)
@@ -173,9 +202,7 @@ def test_no_initial_partition_for_k4():
     candidates = enumerate_partitions(9, 4, min_class_size=2)
     assert len(candidates) == 1260
     for p in candidates.partitions:
-        init = InitialPartition(
-            layout, [[INF if x == 8 else x + 1 for x in c] for c in p.class_sets]
-        )
+        init = InitialPartition(layout, [[x + 1 for x in c] for c in p.class_sets])
         assert not check_difference_property(init).ok
         assert not verify_sperner(develop(init)).valid
 
@@ -205,6 +232,6 @@ def initial_partitions(draw):
 @given(initial_partitions())
 def test_difference_property_implies_valid_development_mixed_sizes(init):
     # with triangles and 4-classes side by side this reaches the check for
-    # a developed smaller class inside a developed larger one
-    if check_difference_property(init).ok:
-        assert verify_sperner(develop(init)).valid
+    # a developed smaller class inside a developed larger one; the check
+    # and the verifier must agree both ways
+    assert check_difference_property(init).ok == verify_sperner(develop(init)).valid
