@@ -2,8 +2,9 @@
 
 Subcommands: construct, verify, bounds, search, fixtures.  Exit codes are
 stable: 0 success, 1 parse error, 2 invalid system, 3 search budget
-exhausted, 64 usage error.  Result output goes to stdout and is
-byte-stable across runs; timing diagnostics go to stderr.
+exhausted, 64 usage error (an -o path that cannot be written is one).
+Result output goes to stdout and is byte-stable across runs; timing
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -95,13 +96,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(system: PartitionSystem, output: str | None, fmt: str) -> None:
+def _emit(system: PartitionSystem, output: str | None, fmt: str) -> int:
+    """Write the document to output, or to stdout; an unwritable output is a usage error."""
     doc = serialize(system, fmt=fmt)
-    if output:
+    if not output:
+        sys.stdout.write(doc)
+        return EX_OK
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
+    return EX_OK
 
 
 def _cmd_construct(args) -> int:
@@ -113,8 +120,7 @@ def _cmd_construct(args) -> int:
         if requirement:
             print(f"note: --method {args.method} requires {requirement}", file=sys.stderr)
         return EX_USAGE
-    _emit(system, args.output, args.format)
-    return EX_OK
+    return _emit(system, args.output, args.format)
 
 
 def _cmd_verify(args) -> int:
@@ -197,8 +203,8 @@ def _cmd_search(args) -> int:
         f"root bound {outcome.root_bound}",
         file=sys.stderr,
     )
-    if args.output and outcome.best is not None:
-        _emit(outcome.best, args.output, args.format)
+    if args.output and outcome.best is not None and _emit(outcome.best, args.output, args.format):
+        return EX_USAGE
     # --exact ignores the target, so only a proof ends it successfully
     target_met = not args.exact and args.target is not None and outcome.size >= args.target
     if outcome.proven_optimal or target_met:
@@ -219,8 +225,7 @@ def _cmd_fixtures(args) -> int:
                 file=sys.stderr,
             )
             return EX_USAGE
-        _emit(load_fixture(args.name), args.output, args.format)
-        return EX_OK
+        return _emit(load_fixture(args.name), args.output, args.format)
     return EX_USAGE  # pragma: no cover
 
 

@@ -170,17 +170,26 @@ def build_graph(candidates: CandidateSet) -> CompatibilityGraph:
 
     Vertices conflict iff they share a class or one has a class properly
     inside a class of the other; everything else is an edge.  owners[c] is
-    the bitmask of the vertices holding class c, and conflict[c] adds the
-    owners of every present proper subset and superset of c, read from
-    model.containments once per distinct class.
+    the bitmask of the vertices holding class c, set in one bytearray per
+    class (OR-ing 1 << v into a growing int costs a pass over it per
+    vertex), and conflict[c] adds the owners of every present proper
+    subset and superset of c, read from model.containments once per
+    distinct class.
     """
     masks_list = [p.classes for p in candidates.partitions]
     num = len(masks_list)
 
-    owners: dict[int, int] = {}
+    holders: dict[int, list[int]] = {}
     for v, classes in enumerate(masks_list):
         for c in classes:
-            owners[c] = owners.get(c, 0) | (1 << v)
+            holders.setdefault(c, []).append(v)
+    owners: dict[int, int] = {}
+    for c, vertices in holders.items():
+        buf = bytearray(-(-num // 8))
+        for v in vertices:
+            buf[v >> 3] |= 1 << (v & 7)
+        owners[c] = int.from_bytes(buf, "little")
+    del holders
 
     conflict = dict(owners)
     for sub, sup in containments(owners):
@@ -210,12 +219,14 @@ def graph_from_edges(num_vertices: int, edges) -> CompatibilityGraph:
     return CompatibilityGraph(num_vertices, tuple(adj))
 
 
-def _color(P: int, nadj, threshold: int = 0) -> tuple[list[int], list[int]]:
+def _color(P: int, adj, threshold: int = 0) -> tuple[list[int], list[int]]:
     """Greedy sequential coloring of P in vertex order (Tomita's MCS, San Segundo's BBMC).
 
-    nadj[v] is the complement of v's adjacency row.  Returns the vertices
-    whose color is above threshold, in coloring order, with their colors,
-    which ascend; vertices of a lower color are colored but not recorded.
+    adj is the graph's own adjacency rows; v's neighbours leave the color
+    class as Q & adj[v], so the search keeps no complement rows.  Returns
+    the vertices whose color is above threshold, in coloring order, with
+    their colors, which ascend; vertices of a lower color are colored but
+    not recorded.
     """
     order: list[int] = []
     colors: list[int] = []
@@ -229,14 +240,12 @@ def _color(P: int, nadj, threshold: int = 0) -> tuple[list[int], list[int]]:
                 v = lsb.bit_length() - 1
                 order.append(v)
                 colors.append(color)
-                Q &= nadj[v]
-                Q ^= lsb
+                Q ^= Q & adj[v] | lsb
                 P ^= lsb
         else:
             while Q:
                 lsb = Q & -Q
-                Q &= nadj[lsb.bit_length() - 1]
-                Q ^= lsb
+                Q ^= Q & adj[lsb.bit_length() - 1] | lsb
                 P ^= lsb
     return order, colors
 
@@ -345,8 +354,7 @@ def max_clique(
         raise ValueError("symmetry reduction needs the graph's candidate set")
     deadline = t0 + time_budget if time_budget is not None else None
     full = (1 << num) - 1
-    nadj = [~a for a in adj]
-    root_coloring = _color(full, nadj)
+    root_coloring = _color(full, adj)
     root_bound = root_coloring[1][-1]
 
     seed_bound = root_bound if target is None else min(target, root_bound)
@@ -364,7 +372,7 @@ def max_clique(
     def expand(size: int, clique: int, P: int) -> None:
         state["nodes"] += 1
         check_stop()
-        order, colors = _color(P, nadj, state["best"] - size)
+        order, colors = _color(P, adj, state["best"] - size)
         for i in range(len(order) - 1, -1, -1):
             if size + colors[i] <= state["best"]:
                 return
@@ -383,7 +391,7 @@ def max_clique(
     def branch_orbits(size: int, clique: int, P: int, coloring, key, descend) -> None:
         """Group P by key; branch on each group's first vertex, then drop the group.
 
-        coloring is _color(P, nadj).  Groups go in descending order of their
+        coloring is _color(P, adj).  Groups go in descending order of their
         highest greedy color, so the color bound prunes the rest as in
         expand.  descend(size, clique, P) searches below each representative.
         """
@@ -420,7 +428,7 @@ def max_clique(
             def depth2(size: int, clique: int, P: int) -> None:
                 fixed = classes[clique.bit_length() - 1]  # clique is the root alone
                 branch_orbits(
-                    size, clique, P, _color(P, nadj), lambda v: _orbit_key(fixed, classes[v]), expand
+                    size, clique, P, _color(P, adj), lambda v: _orbit_key(fixed, classes[v]), expand
                 )
 
             branch_orbits(0, 0, full, root_coloring, sizes.__getitem__, depth2)
@@ -494,13 +502,12 @@ def tiny_oracle(graph: CompatibilityGraph) -> int:
 
 
 # The largest adjacency solve_sp builds: N candidates take N bitmask rows
-# of N bits, N * ceil(N/8) bytes.  max_clique also holds nadj, the
-# complement of every row, a second copy of the same size, so a search
-# needs about twice the capped bytes.  The perfbench search cases stay far
-# below it, the largest being (11,5) at 17,325 candidates and 37.5 MB per
-# copy.  (11,4), 56,980 candidates and 0.41 GB per copy (about 0.8 GB in
-# all), is admitted; (12,4), 302,995 candidates and 11.5 GB, is refused
-# before enumeration.
+# of N bits, N * ceil(N/8) bytes.  The search holds this one copy; the
+# coloring reads the rows themselves.  The perfbench search cases stay far
+# below it, the largest being (11,5) at 17,325 candidates and 37.5 MB.
+# (11,4), 56,980 candidates and 0.41 GB, is admitted (`search --n 11 --k 4
+# --target 12` peaks at about 0.47 GB RSS); (12,4), 302,995 candidates and
+# 11.5 GB, is refused before enumeration.
 MAX_ADJ_BYTES = 1_000_000_000
 
 

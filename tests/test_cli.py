@@ -299,3 +299,21 @@ def test_usage_error_on_unknown_flag(capsys):
 def test_usage_error_on_missing_subcommand(capsys):
     code, _, _ = run(capsys, "--n", "9")
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--n", "8", "--k", "3"),
+        ("search", "--n", "7", "--k", "3", "--exact"),
+        ("fixtures", "emit", "fig-8-3"),
+    ],
+    ids=["construct", "search", "fixtures-emit"],
+)
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.txt"
+    code, _, err = run(capsys, *argv, "-o", str(target))
+    assert code == 64
+    assert err.splitlines()[-1].startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+    assert not target.exists()

@@ -1,6 +1,7 @@
 import random
 import time
-from itertools import combinations, permutations, product, starmap
+import tracemalloc
+from itertools import combinations, compress, permutations, product, starmap
 from math import comb, factorial
 
 import pytest
@@ -102,6 +103,31 @@ def lsb_peeling_greedy(adj, num, bound):
         if best.bit_count() >= bound:
             break
     return best
+
+
+def complement_row_color(P, nadj, threshold=0):
+    """search._color as written over complement rows, nadj[v] == ~adj[v], kept as its reference."""
+    order, colors = [], []
+    color = 0
+    while P:
+        color += 1
+        Q = P
+        if color > threshold:
+            while Q:
+                lsb = Q & -Q
+                v = lsb.bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                Q &= nadj[v]
+                Q ^= lsb
+                P ^= lsb
+        else:
+            while Q:
+                lsb = Q & -Q
+                Q &= nadj[lsb.bit_length() - 1]
+                Q ^= lsb
+                P ^= lsb
+    return order, colors
 
 
 # every (n, k) with n <= 8 that has a candidate with all classes of size >= 2
@@ -259,24 +285,37 @@ class TestColor:
     def test_proper_coloring_and_threshold_tail(self):
         rng = random.Random(7)
         for graph in oracle_graphs(8, 3):
-            nadj = [~a for a in graph.adj]
             full = (1 << graph.num_vertices) - 1
             for P in (full, rng.getrandbits(graph.num_vertices)):
-                order, colors = _color(P, nadj)
+                order, colors = _color(P, graph.adj)
                 assert sorted(order) == [v for v in range(graph.num_vertices) if P >> v & 1]
                 assert colors == sorted(colors)
                 for (u, cu), (v, cv) in combinations(zip(order, colors), 2):
                     assert cu != cv or not graph.adj[u] >> v & 1
                 for t in range(max(colors, default=0) + 1):
                     tail = [(v, c) for v, c in zip(order, colors) if c > t]
-                    assert list(zip(*_color(P, nadj, t))) == tail
+                    assert list(zip(*_color(P, graph.adj, t))) == tail
 
     def test_root_bound_is_last_color(self):
         for graph in oracle_graphs(8, 3):
             full = (1 << graph.num_vertices) - 1
-            colors = _color(full, [~a for a in graph.adj])[1]
+            colors = _color(full, graph.adj)[1]
             # the target only stops the search early; the root bound comes first
             assert max_clique(graph, target=1).root_bound == colors[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_complement_row_coloring(self, data):
+        num = data.draw(st.integers(0, 40), label="num")
+        pairs = [(u, v) for u in range(num) for v in range(u + 1, num)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="edges")
+        edges = list(compress(pairs, keep))
+        graph = graph_from_edges(num, edges)
+        P = data.draw(st.integers(0, (1 << num) - 1), label="P")
+        nadj = [~a for a in graph.adj]
+        top = max(complement_row_color(P, nadj)[1], default=0)
+        for t in range(top + 2):
+            assert _color(P, graph.adj, t) == complement_row_color(P, nadj, t)
 
 
 class TestMaxClique:
@@ -336,6 +375,19 @@ class TestMaxClique:
         outcome = max_clique(graph, time_budget=0.0)
         assert not outcome.proven_optimal
         assert outcome.size >= 1  # greedy seed still reports a clique
+
+    def test_search_keeps_no_second_copy_of_the_rows(self):
+        # (10,4): 9,450 vertices, 11.2 MB of rows; a complement table would be as large again
+        graph = build_graph(enumerate_partitions(10, 4, 2))
+        row_bytes = sum((a.bit_length() + 7) // 8 for a in graph.adj)
+        tracemalloc.start()
+        try:
+            outcome = max_clique(graph, target=9, symmetry_reduction=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.size >= 9
+        assert peak < row_bytes // 4
 
     def test_symmetry_reduction_matches_default(self):
         # solve_sp reduces by default; max_clique(graph) is the plain search
