@@ -17,7 +17,6 @@ rules that build a system, so the two cannot drift apart.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import groupby
 from math import comb
 from typing import NamedTuple
@@ -37,16 +36,21 @@ __all__ = [
 Provenance = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class SpParams:
-    """n = ell*k + r with 0 <= r < k."""
-
+class _SpFields(NamedTuple):
     n: int
     k: int
 
-    def __post_init__(self):
+
+class SpParams(_SpFields):
+    """n = ell*k + r with 0 <= r < k."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be positive")
+        return self
 
     @property
     def ell(self) -> int:
@@ -57,8 +61,7 @@ class SpParams:
         return self.n - self.ell * self.k
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     n: int
     k: int
     lower: int

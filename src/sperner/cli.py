@@ -4,20 +4,15 @@ Subcommands: construct, verify, bounds, search, fixtures.  Exit codes are
 stable: 0 success, 1 parse error, 2 invalid system, 3 search budget
 exhausted, 64 usage error (an -o path that cannot be written is one).
 Result output goes to stdout and is byte-stable across runs; timing
-diagnostics go to stderr.
+diagnostics go to stderr.  Each handler imports the modules it runs, so
+a process loads only what its subcommand needs: bounds loads only the
+bounds module, and construct and verify never load the search.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-from .bounds import bounds_table, sp_bounds
-from .construct import construct_auto
-from .fixtures import fixture_names, load_fixture
-from .formats import ParseError, parse, serialize
-from .model import PartitionSystem, format_report, verify_sperner
-from .search import solve_sp
 
 EX_OK = 0
 EX_PARSE = 1
@@ -96,8 +91,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(system: PartitionSystem, output: str | None, fmt: str) -> int:
-    """Write the document to output, or to stdout; an unwritable output is a usage error."""
+def _emit(system, output: str | None, fmt: str) -> int:
+    """Write the system's document to output, or to stdout; an unwritable output is a usage error."""
+    from .formats import serialize
+
     doc = serialize(system, fmt=fmt)
     if not output:
         sys.stdout.write(doc)
@@ -112,6 +109,8 @@ def _emit(system: PartitionSystem, output: str | None, fmt: str) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .construct import construct_auto
+
     rule, requirement = _METHODS[args.method]
     try:
         system = construct_auto(args.n, args.k, first=rule)
@@ -124,6 +123,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .formats import ParseError, parse
+    from .model import format_report, verify_sperner
+
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
@@ -150,6 +152,8 @@ def _cmd_verify(args) -> int:
 
 
 def _format_bound_line(n: int, k: int) -> list[str]:
+    from .bounds import sp_bounds
+
     result = sp_bounds(n, k)
     status = "exact" if result.exact else "open"
     lines = [f"SP({n},{k}): lower {result.lower}, upper {result.upper} ({status})"]
@@ -161,6 +165,8 @@ def _format_bound_line(n: int, k: int) -> list[str]:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import bounds_table
+
     k = args.k
     if args.table and args.max_n is None:
         print("error: --table requires --max-n", file=sys.stderr)
@@ -185,6 +191,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .search import solve_sp
+
     try:
         outcome = solve_sp(
             args.n,
@@ -213,6 +221,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from .fixtures import fixture_names, load_fixture
+
     if args.fixtures_command == "list":
         for name in fixture_names():
             system = load_fixture(name)

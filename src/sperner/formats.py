@@ -21,8 +21,6 @@ and equal systems serialize byte-identically.
 
 from __future__ import annotations
 
-import json
-
 from .model import Partition, PartitionSystem
 
 __all__ = ["FORMAT_VERSION", "ParseError", "serialize", "parse"]
@@ -47,28 +45,29 @@ class ParseError(Exception):
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-def _canonical_partitions(system: PartitionSystem) -> list[Partition]:
-    return sorted(system.partitions, key=lambda p: p._key())
-
-
 def serialize(system: PartitionSystem, fmt: str = "text", metadata: dict | None = None) -> str:
     """Render a system as a text or JSON document (labels 0-based)."""
-    parts = _canonical_partitions(system)
+    # Each partition's element tuples, built once.  Every partition of a
+    # system has the system's (n, k), so sorting these tuples is sorting
+    # by Partition._key().
+    rows = sorted(p.class_sets for p in system.partitions)
     if fmt == "text":
         lines = []
         if system.name:
             lines.append(f"# name: {system.name}")
-        lines.append(f"{system.n} {system.k} {len(parts)}")
-        for p in parts:
-            lines.append("|".join(",".join(str(e) for e in c) for c in p.class_sets))
+        lines.append(f"{system.n} {system.k} {len(rows)}")
+        for row in rows:
+            lines.append("|".join([",".join(map(str, c)) for c in row]))
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
+
         doc = {
             "format_version": FORMAT_VERSION,
             "n": system.n,
             "k": system.k,
             "name": system.name,
-            "partitions": [[list(c) for c in p.class_sets] for p in parts],
+            "partitions": [[list(c) for c in row] for row in rows],
             "metadata": metadata or {},
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -89,6 +88,8 @@ def parse(text: str) -> PartitionSystem:
 
 
 def _parse_json(text: str) -> PartitionSystem:
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -11,10 +11,9 @@ search.build_graph both read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Partition",
@@ -157,8 +156,7 @@ class PartitionSystem:
         return f"<PartitionSystem{label} n={self.n} k={self.k} partitions={len(self.partitions)}>"
 
 
-@dataclass(frozen=True)
-class SpernerReport:
+class SpernerReport(NamedTuple):
     """Outcome of verify_sperner: valid iff no violations and no well-formedness errors."""
 
     valid: bool

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .model import Partition, PartitionSystem, containments, mask_of
 
@@ -54,16 +54,21 @@ __all__ = [
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class CircularLayout:
-    """m circle points labeled 1..m, plus an optional center point labeled m+1."""
-
+class _LayoutFields(NamedTuple):
     m: int
     has_center: bool = False
 
-    def __post_init__(self):
+
+class CircularLayout(_LayoutFields):
+    """m circle points labeled 1..m, plus an optional center point labeled m+1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.m < 3:
             raise ValueError("a circular layout needs at least 3 points")
+        return self
 
     @property
     def ground_size(self) -> int:
@@ -155,8 +160,7 @@ def develop(init: InitialPartition, name: str | None = None) -> PartitionSystem:
     return PartitionSystem(n, len(masks), parts, name=name)
 
 
-@dataclass(frozen=True)
-class DifferenceCheck:
+class DifferenceCheck(NamedTuple):
     ok: bool
     problems: tuple[str, ...]
 

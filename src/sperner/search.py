@@ -40,9 +40,9 @@ loses no maximum.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations, compress
 from math import comb, isnan
+from typing import NamedTuple
 
 from .model import Partition, PartitionSystem, containments, verify_sperner
 
@@ -58,21 +58,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CandidateSet:
-    """Every k-partition of [0, n) with class sizes >= min_class_size, canonically ordered."""
+    """Every k-partition of [0, n) with class sizes >= min_class_size, canonically ordered.
 
-    n: int
-    k: int
-    min_class_size: int
-    partitions: tuple[Partition, ...]
+    A frozen record like the others, but not a tuple: len() is the number
+    of candidates, where a tuple's would be its field count.
+    """
+
+    __slots__ = ("n", "k", "min_class_size", "partitions")
+
+    def __init__(self, n: int, k: int, min_class_size: int, partitions: tuple[Partition, ...]):
+        for field, value in zip(self.__slots__, (n, k, min_class_size, partitions)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CandidateSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CandidateSet is immutable: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return (self.n, self.k, self.min_class_size, self.partitions)
+
+    def __eq__(self, other):
+        return type(other) is CandidateSet and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return CandidateSet, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
+        return f"CandidateSet({fields})"
 
     def __len__(self):
         return len(self.partitions)
 
 
-@dataclass(frozen=True)
-class CompatibilityGraph:
+class CompatibilityGraph(NamedTuple):
     """Symmetric adjacency over candidate partitions, one bitmask row per vertex."""
 
     num_vertices: int
@@ -80,8 +105,7 @@ class CompatibilityGraph:
     candidates: CandidateSet | None = None
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of a clique search; best is None for graphs without candidates attached."""
 
     best: PartitionSystem | None

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sperner import (
     FORMAT_VERSION,
@@ -146,3 +148,53 @@ def test_fixture_shapes():
     for name, (n, k, count) in expected.items():
         system = load_fixture(name)
         assert (system.n, system.k, len(system)) == (n, k, count)
+
+
+def reference_serialize(system, fmt="text", metadata=None):
+    """serialize as it stood before it built each partition's element tuples once."""
+    parts = sorted(system.partitions, key=lambda p: p._key())
+    if fmt == "text":
+        lines = []
+        if system.name:
+            lines.append(f"# name: {system.name}")
+        lines.append(f"{system.n} {system.k} {len(parts)}")
+        for p in parts:
+            lines.append("|".join(",".join(str(e) for e in c) for c in p.class_sets))
+        return "\n".join(lines) + "\n"
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "n": system.n,
+        "k": system.k,
+        "name": system.name,
+        "partitions": [[list(c) for c in p.class_sets] for p in parts],
+        "metadata": metadata or {},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def systems(draw):
+    """Random systems, well formed or not: classes may overlap, be empty or leave 0..n-1."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 4))
+    element = st.integers(0, n + 1)
+    partition = st.lists(st.lists(element, max_size=n), min_size=k, max_size=k)
+    rows = draw(st.lists(partition, max_size=12))
+    name = draw(st.none() | st.sampled_from(["", "x", "fig 1"]))
+    return PartitionSystem(n, k, [Partition(n, classes, k) for classes in rows], name=name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.none() | st.dictionaries(st.sampled_from("ab"), st.integers()))
+def test_serialize_matches_reference_on_random_systems(system, metadata):
+    assert serialize(system) == reference_serialize(system)
+    assert serialize(system, fmt="json", metadata=metadata) == reference_serialize(
+        system, fmt="json", metadata=metadata
+    )
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_serialize_matches_reference_on_fixtures(name):
+    system = load_fixture(name)
+    for fmt in ("text", "json"):
+        assert serialize(system, fmt=fmt) == reference_serialize(system, fmt=fmt)
