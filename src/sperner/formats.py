@@ -130,7 +130,7 @@ def _check_int(e, idx: int) -> int:
 def _build_partition(n: int, k: int, classes: list[list[int]], line: int | None = None) -> Partition:
     if len(classes) != k:
         raise ParseError(f"expected {k} classes, found {len(classes)}", line)
-    seen: dict[int, bool] = {}
+    seen: set[int] = set()
     for c in classes:
         if not c:
             raise ParseError("empty class", line)
@@ -139,7 +139,7 @@ def _build_partition(n: int, k: int, classes: list[list[int]], line: int | None 
                 raise ParseError(f"element {e} outside 0..{n - 1}", line)
             if e in seen:
                 raise ParseError(f"element {e} appears more than once", line)
-            seen[e] = True
+            seen.add(e)
     for e in range(n):
         if e not in seen:
             raise ParseError(f"element {e} uncovered", line)
@@ -194,30 +194,25 @@ def _parse_text(text: str) -> PartitionSystem:
     partitions = []
     for lineno, line in body:
         classes: list[list[int]] = []
-        cls: list[int] = []
-        token_start = 0
-        for idx, ch in enumerate(line + ","):  # sentinel terminates the last token
-            if ch not in ",|":
-                continue
-            word = line[token_start:idx].strip()
-            col = token_start + 1
-            token_start = idx + 1
-            if word == "inf":
-                cls.append(n - 1)
-            else:
-                try:
-                    value = int(word)
-                except ValueError:
-                    raise ParseError(f"bad element token {word!r}", lineno, col) from None
-                internal = value - base
-                if not 0 <= internal < n:
-                    raise ParseError(
-                        f"element {value} outside the declared ground set", lineno, col
-                    )
-                cls.append(internal)
-            if ch == "|":
-                classes.append(cls)
-                cls = []
-        classes.append(cls)
+        col = 1  # column of the current token; each separator is one character
+        for part in line.split("|"):
+            cls: list[int] = []
+            for word in part.split(","):
+                token = word.strip()
+                if token == "inf":
+                    cls.append(n - 1)
+                else:
+                    try:
+                        value = int(token)
+                    except ValueError:
+                        raise ParseError(f"bad element token {token!r}", lineno, col) from None
+                    internal = value - base
+                    if not 0 <= internal < n:
+                        raise ParseError(
+                            f"element {value} outside the declared ground set", lineno, col
+                        )
+                    cls.append(internal)
+                col += len(word) + 1
+            classes.append(cls)
         partitions.append(_build_partition(n, k, classes, line=lineno))
     return PartitionSystem(n, k, partitions, name=name)

@@ -5,12 +5,16 @@ as an int bitmask over the ground set, so containment tests are single
 bitwise operations.  Partitions keep their classes in canonical order
 (size ascending, then smallest element ascending), which makes equality,
 hashing and serialization independent of how the classes were listed.
-containments is the one class-containment index; verify_sperner and
-search.build_graph both read it.
+containments is the one class-containment index; verify_sperner,
+search.build_graph and rotation.check_difference_property all read it.
+It picks, per class and per smaller size present, the cheaper of a
+subset lookup and a scan of that size's classes, so its work grows with
+the classes of each size and no input needs a size limit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -46,6 +50,8 @@ def mask_of(elements: Iterable[int]) -> int:
 
 def elements_of(mask: int) -> tuple[int, ...]:
     """Ascending elements of a bitmask."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -79,6 +85,9 @@ class Partition:
 
     def __init__(self, n: int, classes: Iterable[Iterable[int] | int], k: int | None = None):
         masks = [c if isinstance(c, int) else mask_of(c) for c in classes]
+        if masks and min(masks) < 0:
+            bad = next(i for i, c in enumerate(masks) if c < 0)
+            raise ValueError(f"class {bad} is a negative mask")
         masks.sort(key=_class_key)
         self.n = int(n)
         self.classes = tuple(masks)
@@ -186,56 +195,46 @@ def validate_partition(p: Partition) -> list[str]:
     return errors
 
 
-# Above this many subset enumerations containments falls back to pairwise
-# mask comparison; only pathological inputs (few partitions, huge classes of
-# many distinct sizes) ever reach the fallback.
-_SUBSET_ENUM_LIMIT = 2_000_000
-
-
 def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
     """Yield every (sub, sup) pair of the given classes with sub a proper subset of sup.
 
     This is the one class-containment index: verify_sperner turns its pairs
-    into violations and build_graph into non-edges.  Each class is matched
-    against its subsets of the sizes present, each built as the sum of a
-    combination of the class's single-bit masks, unless that enumeration
-    would exceed _SUBSET_ENUM_LIMIT, in which case classes are compared
-    pairwise.
+    into violations, build_graph into non-edges and
+    check_difference_property into failures.  For each class sup and each
+    smaller size s present it runs the cheaper of two searches: look up
+    the comb(|sup|, s) subsets of sup, each the sum of a combination of
+    sup's single-bit masks, or test the present classes of size s one by
+    one (ties go to the lookup).  Each (class, size) step costs the
+    smaller of the two, so the work grows with the classes of each size
+    and no input needs a size limit.
     """
     present = set(classes)
-    sizes_present = sorted({c.bit_count() for c in present})
-    cost = 0
-    for mask in present:
-        size = mask.bit_count()
-        for s in sizes_present:
+    counts = Counter(c.bit_count() for c in present)
+    sizes = sorted(counts)
+    of_size: dict[int, list[int]] = {}  # filled when a scan first needs a size
+    for sup in present:
+        size = sup.bit_count()
+        if size <= sizes[0]:
+            continue  # no class present is smaller
+        bits = []  # sup split into its single-bit masks
+        rest = sup
+        while rest:
+            low = rest & -rest
+            bits.append(low)
+            rest ^= low
+        for s in sizes:
             if s >= size:
                 break
-            cost += comb(size, s)
-
-    if cost <= _SUBSET_ENUM_LIMIT:
-        for sup in present:
-            size = sup.bit_count()
-            if size <= sizes_present[0]:
-                continue  # no class present is smaller
-            bits = []  # sup split into its single-bit masks
-            rest = sup
-            while rest:
-                low = rest & -rest
-                bits.append(low)
-                rest ^= low
-            for s in sizes_present:
-                if s >= size:
-                    break
+            if comb(size, s) <= counts[s]:
                 for sub in map(sum, combinations(bits, s)):
                     if sub in present:
                         yield sub, sup
-    else:
-        by_size = sorted(present, key=lambda m: (m.bit_count(), m))
-        for idx, small in enumerate(by_size):
-            ssize = small.bit_count()
-            for big in by_size[idx + 1 :]:
-                if big.bit_count() > ssize and small & ~big == 0:
-                    yield small, big
+            else:
+                if s not in of_size:
+                    of_size[s] = [c for c in present if c.bit_count() == s]
+                for sub in of_size[s]:
+                    if sub & ~sup == 0:
+                        yield sub, sup
 
 
 def verify_sperner(system: PartitionSystem) -> SpernerReport:
@@ -289,11 +288,11 @@ def format_report(system: PartitionSystem, report: SpernerReport) -> str:
         lines.append(f"malformed: {msg}")
     rel_text = {"subset": "is a subset of", "superset": "is a superset of", "equal": "equals"}
     for a, i, b, j, rel in report.violations:
-        ca = set(elements_of(system.partitions[a].classes[i]))
-        cb = set(elements_of(system.partitions[b].classes[j]))
+        ca = list(elements_of(system.partitions[a].classes[i]))
+        cb = list(elements_of(system.partitions[b].classes[j]))
         lines.append(
-            f"violation: partition {a} class {i} {sorted(ca)} {rel_text[rel]} "
-            f"partition {b} class {j} {sorted(cb)}"
+            f"violation: partition {a} class {i} {ca} {rel_text[rel]} "
+            f"partition {b} class {j} {cb}"
         )
     return "\n".join(lines)
 
@@ -304,16 +303,9 @@ def relabel(system: PartitionSystem, perm: Sequence[int]) -> PartitionSystem:
     if sorted(perm) != list(range(system.n)):
         raise ValueError("invalid permutation")
 
-    def remap(mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << perm[low.bit_length() - 1]
-            mask ^= low
-        return out
-
     partitions = [
-        Partition(p.n, [remap(c) for c in p.classes], p.k) for p in system.partitions
+        Partition(p.n, [mask_of(perm[e] for e in elements_of(c)) for c in p.classes], p.k)
+        for p in system.partitions
     ]
     return PartitionSystem(system.n, system.k, partitions, name=system.name)
 

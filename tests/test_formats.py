@@ -198,3 +198,135 @@ def test_serialize_matches_reference_on_fixtures(name):
     system = load_fixture(name)
     for fmt in ("text", "json"):
         assert serialize(system, fmt=fmt) == reference_serialize(system, fmt=fmt)
+
+
+def reference_parse_text(text):
+    """The text reader as it stood when it walked every character of a line."""
+    from sperner.formats import _build_partition
+
+    name = None
+    header = None
+    header_line = 0
+    body = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comment = line[1:].strip()
+            if comment.startswith("name:"):
+                name = comment[len("name:"):].strip() or None
+            continue
+        if header is None:
+            header = line
+            header_line = lineno
+        else:
+            body.append((lineno, line))
+
+    if header is None:
+        raise ParseError("empty document")
+
+    tokens = header.split()
+    if len(tokens) < 3:
+        raise ParseError("header must be 'n k m' with optional 'base=0|1'", header_line, 1)
+    try:
+        n, k, count = (int(t) for t in tokens[:3])
+    except ValueError:
+        raise ParseError("header must start with three integers", header_line, 1) from None
+    if n < 1 or k < 1 or count < 0:
+        raise ParseError("header values must be positive (partition count may be 0)", header_line, 1)
+    base = 0
+    for tok in tokens[3:]:
+        if tok in ("base=0", "base=1"):
+            base = int(tok[-1])
+        else:
+            raise ParseError(f"unrecognized header token {tok!r}", header_line, header.find(tok) + 1)
+
+    if len(body) != count:
+        raise ParseError(
+            f"header declares {count} partitions, found {len(body)}",
+            body[count][0] if len(body) > count else header_line,
+        )
+
+    partitions = []
+    for lineno, line in body:
+        classes = []
+        cls = []
+        token_start = 0
+        for idx, ch in enumerate(line + ","):
+            if ch not in ",|":
+                continue
+            word = line[token_start:idx].strip()
+            col = token_start + 1
+            token_start = idx + 1
+            if word == "inf":
+                cls.append(n - 1)
+            else:
+                try:
+                    value = int(word)
+                except ValueError:
+                    raise ParseError(f"bad element token {word!r}", lineno, col) from None
+                internal = value - base
+                if not 0 <= internal < n:
+                    raise ParseError(
+                        f"element {value} outside the declared ground set", lineno, col
+                    )
+                cls.append(internal)
+            if ch == "|":
+                classes.append(cls)
+                cls = []
+        classes.append(cls)
+        partitions.append(_build_partition(n, k, classes, line=lineno))
+    return PartitionSystem(n, k, partitions, name=name)
+
+
+def outcome(read, text):
+    try:
+        system = read(text)
+    except ParseError as err:
+        return ("error", err.message, err.line, err.column)
+    return ("ok", system, system.name, [p.classes for p in system.partitions])
+
+
+@st.composite
+def text_documents(draw):
+    """Text documents near the format: mostly well formed, with stray tokens and spacing."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 3))
+    base = draw(st.sampled_from(["", " base=0", " base=1"]))
+    label = st.one_of(
+        st.integers(-1, n + 1).map(str),
+        st.sampled_from(["inf", "", "x", "+1", "1_0", "0x1", "٣", "1 2"]),
+    )
+    space = st.sampled_from(["", " ", "\t", "  "])
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            rows.append(draw(st.text(alphabet="0123456789,| inf\tx-", max_size=20)))
+            continue
+        elems = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
+        groups = [elems[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])]
+        words = [[str(e + (base == " base=1")) for e in g] for g in groups]
+        if draw(st.booleans()) and words and words[0]:
+            words[0][0] = draw(label)
+        rows.append(
+            "|".join(",".join(draw(space) + w + draw(space) for w in g) for g in words)
+        )
+    count = len(rows) + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+    lines = [f"{n} {k} {count}{base}"] + rows
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# name: fuzz")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_documents())
+def test_text_reader_matches_reference(text):
+    assert outcome(parse, text) == outcome(reference_parse_text, text)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_text_reader_matches_reference_on_fixtures(name):
+    text = fixture_text(name)
+    assert outcome(parse, text) == outcome(reference_parse_text, text)

@@ -1,6 +1,7 @@
 import random
+import time
+from itertools import combinations
 from math import comb
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from sperner import (
     Partition,
     PartitionSystem,
     elements_of,
+    enumerate_partitions,
     fixture_names,
     incomparable,
     is_almost_uniform,
@@ -44,6 +46,21 @@ def test_mask_roundtrip():
     assert mask_of([0, 2, 5]) == 0b100101
     assert elements_of(0b100101) == (0, 2, 5)
     assert elements_of(0) == ()
+
+
+def test_elements_of_rejects_negative_mask():
+    with pytest.raises(ValueError, match="negative mask -3"):
+        elements_of(-3)
+
+
+def test_partition_rejects_negative_class_mask():
+    # a negative int class would make the set-bit walks loop forever
+    with pytest.raises(ValueError, match="class 0 is a negative mask"):
+        Partition(4, [-3, 4], 2)
+    with pytest.raises(ValueError, match="class 1 is a negative mask"):
+        Partition(4, [3, -1])
+    with pytest.raises(ValueError):
+        Partition(4, [[0, -1], [2, 3]])
 
 
 def test_incomparable_basics():
@@ -156,13 +173,66 @@ def test_verify_matches_naive_on_broken_systems():
         assert verify_sperner(system).violations == naive_verify(system)
 
 
-def test_verify_pairwise_fallback_over_enum_limit():
-    # the size-30 classes have comb(30, 10) subsets of size 10, past the limit
-    assert comb(30, 10) > model._SUBSET_ENUM_LIMIT
+# containments as it stood with one global switch: subset enumeration while
+# the summed enumeration cost stayed within OLD_SUBSET_ENUM_LIMIT, else an
+# all-pairs scan.  Its two branches are kept here as reference indexes.
+OLD_SUBSET_ENUM_LIMIT = 2_000_000
+
+
+def reference_containments_enum(classes):
+    present = set(classes)
+    sizes_present = sorted({c.bit_count() for c in present})
+    for sup in present:
+        size = sup.bit_count()
+        if size <= sizes_present[0]:
+            continue
+        bits = []
+        rest = sup
+        while rest:
+            low = rest & -rest
+            bits.append(low)
+            rest ^= low
+        for s in sizes_present:
+            if s >= size:
+                break
+            for sub in map(sum, combinations(bits, s)):
+                if sub in present:
+                    yield sub, sup
+
+
+def reference_containments_pairwise(classes):
+    by_size = sorted(set(classes), key=lambda m: (m.bit_count(), m))
+    for idx, small in enumerate(by_size):
+        ssize = small.bit_count()
+        for big in by_size[idx + 1 :]:
+            if big.bit_count() > ssize and small & ~big == 0:
+                yield small, big
+
+
+REFERENCE_BRANCHES = (reference_containments_enum, reference_containments_pairwise)
+
+
+def forty_element_system():
     a, b = set(range(10)), set(range(10, 20))
     rest = set(range(40))
     parts = [Partition(40, [a, rest - a]), Partition(40, [b, rest - b])]
-    system = PartitionSystem(40, 2, parts)
+    return PartitionSystem(40, 2, parts)
+
+
+def classes_of(system):
+    return [c for p in system.partitions for c in p.classes]
+
+
+def test_verify_pairwise_fallback_over_enum_limit():
+    # the size-30 classes have comb(30, 10) subsets of size 10, past the old
+    # limit: the old index scanned all pairs here
+    assert comb(30, 10) > OLD_SUBSET_ENUM_LIMIT
+    system = forty_element_system()
+    classes = classes_of(system)
+    # the enumeration branch would build 2 * comb(30, 10) subsets here
+    assert sorted(model.containments(classes)) == sorted(
+        reference_containments_pairwise(classes)
+    )
     report = verify_sperner(system)
     # a lies inside the complement of b, and b inside the complement of a
     assert report.violations == (
@@ -176,21 +246,93 @@ def test_verify_pairwise_fallback_over_enum_limit():
 
 def test_verify_same_report_on_both_containment_branches(monkeypatch):
     systems = [load_fixture(name) for name in fixture_names()] + list(broken_systems())
+    current = [verify_sperner(system) for system in systems]
+    monkeypatch.setattr(model, "containments", reference_containments_enum)
     enumerated = [verify_sperner(system) for system in systems]
-    monkeypatch.setattr(model, "_SUBSET_ENUM_LIMIT", -1)
+    monkeypatch.setattr(model, "containments", reference_containments_pairwise)
     pairwise = [verify_sperner(system) for system in systems]
+    assert enumerated == current
     assert pairwise == enumerated
     assert any(not report.valid for report in pairwise)
+    for system in systems:
+        classes = set(classes_of(system))
+        for branch in REFERENCE_BRANCHES:
+            assert sorted(model.containments(classes)) == sorted(branch(classes))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 14).flatmap(lambda n: st.lists(st.integers(1, 2**n - 1), max_size=40)))
 def test_containments_match_pairwise_scan(classes):
-    # each (proper subset, superset) pair once, on both branches
+    # each (proper subset, superset) pair once, here and on both reference branches
     expected = sorted({(a, b) for a in classes for b in classes if a != b and a & ~b == 0})
     assert sorted(model.containments(classes)) == expected
-    with patch.object(model, "_SUBSET_ENUM_LIMIT", -1):
-        assert sorted(model.containments(classes)) == expected
+    for branch in REFERENCE_BRANCHES:
+        assert sorted(branch(classes)) == expected
+
+
+def test_containments_looks_up_and_scans_in_one_call(monkeypatch):
+    # The forty-element system alone has one (class, smaller size) pair, a
+    # size-30 class against the two size-10 classes, and comb(30, 10) > 2,
+    # so that pair scans.  Forty (1, 39) partitions add forty singletons,
+    # enough for every larger class to look its singletons up.
+    system = forty_element_system()
+    everything = set(range(40))
+    singles = [Partition(40, [{x}, everything - {x}]) for x in range(40)]
+    system = PartitionSystem(40, 2, system.partitions + tuple(singles))
+    sized, looked_up = [], []
+
+    def comb_spy(size, s):
+        sized.append((size, s))
+        return comb(size, s)
+
+    def combinations_spy(bits, s):
+        looked_up.append((len(bits), s))
+        return combinations(bits, s)
+
+    monkeypatch.setattr(model, "comb", comb_spy)
+    monkeypatch.setattr(model, "combinations", combinations_spy)
+    classes = classes_of(system)
+    pairs = list(model.containments(classes))
+    scanned = set(sized) - set(looked_up)
+    assert (30, 10) in scanned and (39, 30) in scanned
+    assert (10, 1) in looked_up and (30, 1) in looked_up
+    assert sorted(pairs) == sorted(reference_containments_pairwise(classes))
+    monkeypatch.undo()
+    assert verify_sperner(system).violations == naive_verify(system)
+
+
+def test_containments_fast_on_one_lopsided_partition():
+    # 16,000 (20, 20) partitions of 40 elements and one (5, 35): the old
+    # index's summed enumeration cost went past its limit and every class
+    # was scanned against every other (about 25 s)
+    rng = random.Random(11)
+    full = (1 << 40) - 1
+    halves = set()
+    while len(halves) < 16_000:
+        a = mask_of(rng.sample(range(40), 20))
+        halves.add(a if a & 1 else full ^ a)
+    five, thirty_five = mask_of(range(5)), mask_of(range(5, 40))
+    twenties = [c for a in halves for c in (a, full ^ a)]
+    classes = twenties + [five, thirty_five]
+    start = time.perf_counter()
+    pairs = sorted(model.containments(classes))
+    elapsed = time.perf_counter() - start
+    expected = sorted(
+        [(five, c) for c in twenties if five & ~c == 0]
+        + [(c, thirty_five) for c in twenties if c & ~thirty_five == 0]
+    )
+    assert expected and pairs == expected
+    assert elapsed < 5
+
+
+def test_containments_keeps_subset_lookup_order():
+    # on these inputs every pair is looked up, so the pairs come out in the
+    # old enumeration branch's order
+    systems = [load_fixture(name) for name in fixture_names()]
+    systems += [enumerate_partitions(n, k) for n, k in [(8, 3), (10, 4)]]
+    for system in systems:
+        classes = dict.fromkeys(classes_of(system))
+        assert list(model.containments(classes)) == list(reference_containments_enum(classes))
 
 
 def test_relabel_identity_and_validity():
