@@ -132,6 +132,9 @@ def _cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_PARSE
+    except UnicodeDecodeError as exc:
+        print(f"parse error: not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
+        return EX_PARSE
     try:
         system = parse(text)
     except ParseError as exc:

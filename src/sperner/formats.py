@@ -21,7 +21,11 @@ and equal systems serialize byte-identically.
 
 from __future__ import annotations
 
-from .model import Partition, PartitionSystem
+import sys
+from array import array
+from itertools import chain
+
+from .model import Partition, PartitionSystem, elements_of
 
 __all__ = ["FORMAT_VERSION", "ParseError", "serialize", "parse"]
 
@@ -46,32 +50,64 @@ class ParseError(Exception):
 
 
 def serialize(system: PartitionSystem, fmt: str = "text", metadata: dict | None = None) -> str:
-    """Render a system as a text or JSON document (labels 0-based)."""
-    # Each partition's element tuples, built once.  Every partition of a
-    # system has the system's (n, k), so sorting these tuples is sorting
-    # by Partition._key().
-    rows = sorted(p.class_sets for p in system.partitions)
+    """Render a system as a text or JSON document (labels 0-based).
+
+    Partitions come out sorted by their tuples of class element tuples,
+    which within one system is Partition order.  Each class's elements
+    are walked once, as the codes e + 1 of the class shifted up one bit,
+    and both the line (or JSON row) and the sort key are built from them.
+    The key is one bytes string per partition: each code big-endian in a
+    fixed width that holds the largest, and a zero code closing each
+    class.  Byte order on these keys is the tuple order, since a class
+    that is a prefix of another closes with 0 where the other goes on with
+    a larger code.  The sort so holds a few bytes per class, not a tuple
+    per class and an int per element.
+    """
+    parts = system.partitions
+    top = max(map(int.bit_length, chain.from_iterable(p.classes for p in parts)), default=0)
+    if fmt == "text":
+        # code e + 1 -> "e"; one string per label, shared by every line
+        label = ["", *map(str, range(top))].__getitem__
+
+        def render(classes):
+            return "|".join([",".join(map(label, codes)) for codes in classes])
+
+    elif fmt == "json":
+
+        def render(classes):
+            return [[code - 1 for code in codes] for codes in classes]
+
+    else:
+        raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'json')")
+    # the narrowest unsigned array type that holds every code
+    typecode = next(t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize)
+    keyed = []
+    for p in parts:
+        classes = [elements_of(c << 1) for c in p.classes]
+        key = array(typecode, [code for codes in classes for code in (*codes, 0)])
+        if sys.byteorder == "little":
+            key.byteswap()
+        keyed.append((key.tobytes(), render(classes)))
+    keyed.sort()
+    rows = [row for _, row in keyed]
     if fmt == "text":
         lines = []
         if system.name:
             lines.append(f"# name: {system.name}")
         lines.append(f"{system.n} {system.k} {len(rows)}")
-        for row in rows:
-            lines.append("|".join([",".join(map(str, c)) for c in row]))
+        lines.extend(rows)
         return "\n".join(lines) + "\n"
-    if fmt == "json":
-        import json
+    import json
 
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "n": system.n,
-            "k": system.k,
-            "name": system.name,
-            "partitions": [[list(c) for c in row] for row in rows],
-            "metadata": metadata or {},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'json')")
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "n": system.n,
+        "k": system.k,
+        "name": system.name,
+        "partitions": rows,
+        "metadata": metadata or {},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def parse(text: str) -> PartitionSystem:
@@ -114,7 +150,9 @@ def _parse_json(text: str) -> PartitionSystem:
     for idx, classes in enumerate(raw):
         if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
             raise ParseError(f"partition {idx} must be a list of element lists")
-        partitions.append(_build_partition(n, k, [[_check_int(e, idx) for e in c] for c in classes]))
+        rows = [[_check_int(e, idx) for e in c] for c in classes]
+        _check_range(n, k, rows)
+        partitions.append(_build_partition(n, k, rows))
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("name must be a string or null")
@@ -127,23 +165,45 @@ def _check_int(e, idx: int) -> int:
     return e
 
 
-def _build_partition(n: int, k: int, classes: list[list[int]], line: int | None = None) -> Partition:
+def _check_range(n: int, k: int, classes: list[list[int]]) -> None:
+    # The JSON path's range check: refuse the first element outside
+    # 0..n-1 unless _build_partition would stop earlier in its walk.
     if len(classes) != k:
-        raise ParseError(f"expected {k} classes, found {len(classes)}", line)
+        return
     seen: set[int] = set()
     for c in classes:
         if not c:
-            raise ParseError("empty class", line)
+            return
         for e in c:
             if not 0 <= e < n:
-                raise ParseError(f"element {e} outside 0..{n - 1}", line)
+                raise ParseError(f"element {e} outside 0..{n - 1}")
             if e in seen:
-                raise ParseError(f"element {e} appears more than once", line)
+                return
             seen.add(e)
-    for e in range(n):
-        if e not in seen:
-            raise ParseError(f"element {e} uncovered", line)
-    return Partition(n, classes, k)
+
+
+def _build_partition(n: int, k: int, classes: list[list[int]], line: int | None = None) -> Partition:
+    # Elements are in 0..n-1 already: the text reader checks each label as
+    # it reads it and the JSON reader calls _check_range.  One walk builds
+    # each class mask and finds a repeated element by its bit.
+    if len(classes) != k:
+        raise ParseError(f"expected {k} classes, found {len(classes)}", line)
+    masks = []
+    seen = 0
+    for c in classes:
+        if not c:
+            raise ParseError("empty class", line)
+        before = seen
+        for e in c:
+            bit = 1 << e
+            if seen & bit:
+                raise ParseError(f"element {e} appears more than once", line)
+            seen |= bit
+        masks.append(seen ^ before)
+    missing = ~seen & ((1 << n) - 1)
+    if missing:
+        raise ParseError(f"element {(missing & -missing).bit_length() - 1} uncovered", line)
+    return Partition(n, masks, k)
 
 
 def _parse_text(text: str) -> PartitionSystem:

@@ -10,13 +10,18 @@ search.build_graph and rotation.check_difference_property all read it.
 It picks, per class and per smaller size present, the cheaper of a
 subset lookup and a scan of that size's classes, so its work grows with
 the classes of each size and no input needs a size limit.
+verify_sperner checks each partition's well-formedness in bulk, with a
+few whole-mask operations, and holds one set entry per class beyond the
+system itself; locations are looked up only for classes behind a finding.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -208,24 +213,27 @@ def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
     smaller of the two, so the work grows with the classes of each size
     and no input needs a size limit.
     """
-    present = set(classes)
-    counts = Counter(c.bit_count() for c in present)
+    # a set is used as given: verify_sperner hands over its one class set
+    present = classes if isinstance(classes, (set, frozenset)) else set(classes)
+    counts = Counter(map(int.bit_count, present))
     sizes = sorted(counts)
     of_size: dict[int, list[int]] = {}  # filled when a scan first needs a size
     for sup in present:
         size = sup.bit_count()
         if size <= sizes[0]:
             continue  # no class present is smaller
-        bits = []  # sup split into its single-bit masks
-        rest = sup
-        while rest:
-            low = rest & -rest
-            bits.append(low)
-            rest ^= low
+        bits = None  # sup split into its single-bit masks on its first lookup
         for s in sizes:
             if s >= size:
                 break
             if comb(size, s) <= counts[s]:
+                if bits is None:
+                    bits = []
+                    rest = sup
+                    while rest:
+                        low = rest & -rest
+                        bits.append(low)
+                        rest ^= low
                 for sub in map(sum, combinations(bits, s)):
                     if sub in present:
                         yield sub, sup
@@ -243,19 +251,48 @@ def verify_sperner(system: PartitionSystem) -> SpernerReport:
     Every ordered pair of distinct partitions (P, Q) with classes C in P,
     D in Q contributes a violation unless C and D are incomparable.
     Classes within one partition are never compared: disjoint nonempty
-    sets are incomparable automatically.  Equal classes are found through
-    the class -> owners map, proper containments through containments.
-    Violations are reported exhaustively and sorted, so equal inputs give
-    identical reports.
-    """
-    wellformed = []
-    for t, p in enumerate(system.partitions):
-        wellformed.extend(f"partition {t}: {msg}" for msg in validate_partition(p))
+    sets are incomparable automatically.  Violations are reported
+    exhaustively and sorted, so equal inputs give identical reports.
 
+    Each partition is checked in bulk: it is well formed exactly when it
+    has k classes, none of them empty, whose union is {0..n-1} and whose
+    sizes sum to n.  Only a partition that fails goes through
+    validate_partition, which words the messages.  All classes go into one
+    set, handed to containments; equal classes exist exactly when the set
+    is smaller than the class count.  The (partition, class) locations are
+    gathered only for repeated classes and the ends of containment pairs,
+    so a valid system costs one set entry per class.
+    """
+    partitions = system.partitions
+    n, k = system.n, system.k
+    full = (1 << n) - 1
+    wellformed = []
+    present: set[int] = set()
+    total = 0
+    for t, p in enumerate(partitions):
+        cs = p.classes
+        present.update(cs)
+        total += len(cs)
+        if (
+            len(cs) != k
+            or 0 in cs
+            or reduce(or_, cs, 0) != full
+            or sum(map(int.bit_count, cs)) != n
+        ):
+            wellformed.extend(f"partition {t}: {msg}" for msg in validate_partition(p))
+
+    pairs = list(containments(present))
+    involved = {c for pair in pairs for c in pair}
+    if len(present) < total:
+        involved.update(
+            c for c, m in Counter(c for p in partitions for c in p.classes).items() if m > 1
+        )
     owners: dict[int, list[tuple[int, int]]] = {}
-    for a, p in enumerate(system.partitions):
-        for i, c in enumerate(p.classes):
-            owners.setdefault(c, []).append((a, i))
+    if involved:
+        for a, p in enumerate(partitions):
+            for i, c in enumerate(p.classes):
+                if c in involved:
+                    owners.setdefault(c, []).append((a, i))
 
     violations: set[Violation] = set()
 
@@ -266,7 +303,7 @@ def verify_sperner(system: PartitionSystem) -> SpernerReport:
                     if a != b:
                         violations.add((a, i, b, j, "equal"))
 
-    for sub, sup in containments(owners):
+    for sub, sup in pairs:
         for a, i in owners[sub]:
             for b, j in owners[sup]:
                 if a != b:

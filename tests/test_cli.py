@@ -180,6 +180,15 @@ def test_verify_parse_error_exit_1(capsys, tmp_path):
     assert "element 6 uncovered" in err
 
 
+def test_verify_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    target = tmp_path / "latin1.txt"
+    target.write_bytes(b"\xff 3 1 1\n0,1,2\n")
+    code, out, err = run(capsys, "verify", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == "parse error: not UTF-8 text: invalid start byte at byte 0\n"
+
+
 def test_verify_missing_file_exit_1(capsys):
     code, _, _ = run(capsys, "verify", "/nonexistent/file.txt")
     assert code == 1

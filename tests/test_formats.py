@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from sperner import (
     ParseError,
     Partition,
     PartitionSystem,
+    construct_2k2,
+    construct_3k1,
     fixture_names,
     fixture_text,
     load_fixture,
@@ -16,6 +19,7 @@ from sperner import (
     serialize,
     verify_sperner,
 )
+from sperner import formats
 
 
 def test_text_roundtrip_all_fixtures():
@@ -198,6 +202,89 @@ def test_serialize_matches_reference_on_fixtures(name):
     system = load_fixture(name)
     for fmt in ("text", "json"):
         assert serialize(system, fmt=fmt) == reference_serialize(system, fmt=fmt)
+
+
+@pytest.mark.parametrize("build, k", [(construct_3k1, 100), (construct_2k2, 130)])
+def test_serialize_matches_reference_past_one_byte_labels(build, k):
+    # n = 299 and 262: element codes take two bytes in the sort key
+    system = build(k)
+    assert system.n >= 256
+    for fmt in ("text", "json"):
+        assert serialize(system, fmt=fmt) == reference_serialize(system, fmt=fmt)
+
+
+@pytest.mark.parametrize("top", [254, 255, 256, 65_534, 65_535, 65_536])
+def test_serialize_matches_reference_at_key_width_edges(top):
+    # labels out of range stretch the key width; classes that are prefixes
+    # of each other and empty classes test the closing code
+    rows = [
+        [[0, top], [1]],
+        [[0], [1, top]],
+        [[0, 1], [top]],
+        [[], [0, 1, top]],
+        [[0, top - 1], [1]],
+        [[top - 1, top], []],
+        [[0], [1]],
+    ]
+    system = PartitionSystem(3, 2, [Partition(3, classes, 2) for classes in rows])
+    for fmt in ("text", "json"):
+        assert serialize(system, fmt=fmt) == reference_serialize(system, fmt=fmt)
+
+
+def test_serialize_keeps_a_few_bytes_per_class():
+    # 10,740 classes; a tuple of element tuples per partition costs about
+    # 100 bytes per class
+    system = construct_3k1(60)
+    classes = sum(len(p.classes) for p in system.partitions)
+    tracemalloc.start()
+    try:
+        doc = serialize(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc == reference_serialize(system)
+    assert peak - len(doc) < 40 * classes, (peak - len(doc)) / classes
+
+
+def reference_build_partition(n, k, classes, line=None):
+    """_build_partition as it stood, range-checking every element and walking it twice."""
+    if len(classes) != k:
+        raise ParseError(f"expected {k} classes, found {len(classes)}", line)
+    seen = set()
+    for c in classes:
+        if not c:
+            raise ParseError("empty class", line)
+        for e in c:
+            if not 0 <= e < n:
+                raise ParseError(f"element {e} outside 0..{n - 1}", line)
+            if e in seen:
+                raise ParseError(f"element {e} appears more than once", line)
+            seen.add(e)
+    for e in range(n):
+        if e not in seen:
+            raise ParseError(f"element {e} uncovered", line)
+    return Partition(n, classes, k)
+
+
+@st.composite
+def json_documents(draw):
+    """JSON documents whose partitions break one or more rules, in any order."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    element = st.integers(-2, n + 1)
+    partition = st.lists(st.lists(element, max_size=n), min_size=max(k - 1, 0), max_size=k + 1)
+    rows = draw(st.lists(partition, max_size=4))
+    return json.dumps({"n": n, "k": k, "partitions": rows})
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents())
+def test_json_reader_matches_reference(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_build_partition", reference_build_partition)
+        mp.setattr(formats, "_check_range", lambda n, k, classes: None)
+        expected = outcome(parse, text)
+    assert outcome(parse, text) == expected
 
 
 def reference_parse_text(text):

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from sperner import (
     Partition,
     PartitionSystem,
+    construct_3k1,
     elements_of,
     enumerate_partitions,
     fixture_names,
@@ -171,6 +173,88 @@ def broken_systems():
 def test_verify_matches_naive_on_broken_systems():
     for system in broken_systems():
         assert verify_sperner(system).violations == naive_verify(system)
+
+
+def reference_verify(system):
+    """verify_sperner as it stood with a class -> locations map over every class."""
+    wellformed = []
+    for t, p in enumerate(system.partitions):
+        wellformed.extend(f"partition {t}: {msg}" for msg in validate_partition(p))
+
+    owners = {}
+    for a, p in enumerate(system.partitions):
+        for i, c in enumerate(p.classes):
+            owners.setdefault(c, []).append((a, i))
+
+    violations = set()
+
+    for locs in owners.values():
+        if len(locs) > 1:
+            for a, i in locs:
+                for b, j in locs:
+                    if a != b:
+                        violations.add((a, i, b, j, "equal"))
+
+    for sub, sup in model.containments(owners):
+        for a, i in owners[sub]:
+            for b, j in owners[sup]:
+                if a != b:
+                    violations.add((a, i, b, j, "subset"))
+                    violations.add((b, j, a, i, "superset"))
+
+    violations_sorted = tuple(sorted(violations))
+    valid = not violations_sorted and not wellformed
+    return model.SpernerReport(valid, violations_sorted, tuple(wellformed))
+
+
+@st.composite
+def verify_systems(draw):
+    """Small systems full of findings: repeated partitions, equal and nested
+    classes, and partitions that are empty-classed, overlapping, uncovered,
+    out of range or of the wrong class count."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    parts = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["cut", "cut", "cut", "repeat", "loose"]))
+        if kind == "repeat" and parts:
+            parts.append(draw(st.sampled_from(parts)))
+        elif kind == "loose":
+            element = st.integers(0, n + 1)
+            classes = draw(st.lists(st.lists(element, max_size=n), min_size=max(k - 1, 0), max_size=k + 1))
+            parts.append(Partition(n, classes, k))
+        else:
+            # a k-partition when the cuts differ; equal cuts leave empty classes
+            elems = draw(st.permutations(range(n)))
+            cuts = sorted(draw(st.lists(st.integers(0, n), min_size=k - 1, max_size=k - 1)))
+            parts.append(Partition(n, [elems[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, n])], k))
+    return PartitionSystem(n, k, parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(verify_systems())
+def test_verify_matches_reference_on_random_systems(system):
+    assert verify_sperner(system) == reference_verify(system)
+
+
+def test_verify_matches_reference_on_fixtures_and_broken_systems():
+    systems = [load_fixture(name) for name in fixture_names()] + list(broken_systems())
+    for system in systems:
+        assert verify_sperner(system) == reference_verify(system)
+
+
+def test_verify_keeps_a_few_bytes_per_class():
+    # 10,740 classes; a class -> locations map costs over 200 bytes per class
+    system = construct_3k1(60)
+    classes = sum(len(p.classes) for p in system.partitions)
+    tracemalloc.start()
+    try:
+        report = verify_sperner(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 100 * classes, peak / classes
 
 
 # containments as it stood with one global switch: subset enumeration while
