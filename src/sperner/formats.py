@@ -185,7 +185,9 @@ def _check_range(n: int, k: int, classes: list[list[int]]) -> None:
 def _build_partition(n: int, k: int, classes: list[list[int]], line: int | None = None) -> Partition:
     # Elements are in 0..n-1 already: the text reader checks each label as
     # it reads it and the JSON reader calls _check_range.  One walk builds
-    # each class mask and finds a repeated element by its bit.
+    # each class mask and finds a repeated element by its bit.  The
+    # elements are then distinct, so they cover 0..n-1 iff there are n of
+    # them: no n-bit mask is built, as a header's n can be huge.
     if len(classes) != k:
         raise ParseError(f"expected {k} classes, found {len(classes)}", line)
     masks = []
@@ -200,9 +202,8 @@ def _build_partition(n: int, k: int, classes: list[list[int]], line: int | None 
                 raise ParseError(f"element {e} appears more than once", line)
             seen |= bit
         masks.append(seen ^ before)
-    missing = ~seen & ((1 << n) - 1)
-    if missing:
-        raise ParseError(f"element {(missing & -missing).bit_length() - 1} uncovered", line)
+    if seen.bit_count() != n:
+        raise ParseError(f"element {(~seen & (seen + 1)).bit_length() - 1} uncovered", line)
     return Partition(n, masks, k)
 
 

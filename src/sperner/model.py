@@ -265,7 +265,7 @@ def verify_sperner(system: PartitionSystem) -> SpernerReport:
     """
     partitions = system.partitions
     n, k = system.n, system.k
-    full = (1 << n) - 1
+    full = (1 << n) - 1 if partitions else 0  # an empty system's n alone can be huge
     wellformed = []
     present: set[int] = set()
     total = 0

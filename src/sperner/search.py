@@ -19,9 +19,10 @@ packs them into few color classes, which is what makes the dense instances
 tractable (the (9,4) graph gets a 15-color root bound this way).  Coloring
 below the pruning threshold is not recorded, only the vertices that can
 still extend the incumbent are.  The graph is colored once at the root:
-that coloring gives the root bound and, on the reduced path, the grouping
-of the root shapes.  The search stops, proven, once the incumbent reaches
-that root bound.
+that coloring gives the root bound and orders the root, which the plain
+search branches on like any node and the reduced path groups by shape.
+Every new incumbent, the greedy seed first, meets one stop rule: a met
+target stops the search unproven, the root bound stops it proven.
 
 solve_sp also uses the symmetry of the problem.  The candidate set holds
 every k-partition with the allowed class sizes, so it is closed under
@@ -340,16 +341,19 @@ def max_clique(
 ) -> SearchOutcome:
     """Deterministic branch-and-bound maximum clique.
 
-    With no budget and no target the result is a proven maximum.  The
-    search also stops, proven, as soon as the incumbent reaches the root
-    coloring bound.  A target stops the search as soon as a clique of that
-    size is known, the greedy seed included: its tries end at the first
-    clique that meets the target (proven_optimal stays False unless the
-    search finished anyway).  An expired time budget returns the best
-    clique found so far.
+    With no budget and no target the result is a proven maximum.  One rule
+    stops the search on a new incumbent, the greedy seed included: a met
+    target stops it unproven (the seed's tries end at the first clique that
+    meets the target), and reaching the root coloring bound stops it,
+    proven.  An expired time budget returns the best clique found so far;
+    the clock is polled once after the seed, then every 2048 nodes and,
+    on the reduced path, every 256 grouped vertices.
 
-    symmetry_reduction needs the graph's full candidate set, which is
-    closed under relabeling the ground set, and prunes at two levels:
+    The root coloring that gives the bound also orders the root.  The plain
+    search branches on it as on any other node, highest color first;
+    symmetry_reduction instead groups it, which needs the graph's full
+    candidate set, closed under relabeling the ground set, and prunes at
+    two levels:
 
     * Root: branch only on the first candidate of each class-size shape,
       then drop that whole shape from the later roots.  Shapes are the
@@ -363,8 +367,7 @@ def max_clique(
 
     At both levels the groups are visited in descending order of the
     highest greedy color among their members, so once size plus that color
-    cannot beat the incumbent, no later group can either.  The root level
-    reuses the root coloring that gave the bound.
+    cannot beat the incumbent, no later group can either.
 
     It is off by default here so the plain search stays available as a
     cross-check; solve_sp turns it on.
@@ -372,41 +375,35 @@ def max_clique(
     t0 = time.perf_counter()
     num = graph.num_vertices
     adj = graph.adj
-    if num == 0:
-        return _outcome(graph, 0, (), True, 0, t0, 0)
-    if symmetry_reduction and graph.candidates is None:
-        raise ValueError("symmetry reduction needs the graph's candidate set")
+    cand = graph.candidates
     deadline = t0 + time_budget if time_budget is not None else None
-    full = (1 << num) - 1
-    root_coloring = _color(full, adj)
-    root_bound = root_coloring[1][-1]
+    best = best_mask = nodes = root_bound = 0
 
-    seed_bound = root_bound if target is None else min(target, root_bound)
-    best_mask = _greedy_clique(adj, num, seed_bound, deadline)
-    state = {"best": best_mask.bit_count(), "mask": best_mask, "nodes": 0}
-
-    def check_stop() -> None:
-        if target is not None and state["best"] >= target:
+    def improve(size: int, clique: int) -> None:
+        nonlocal best, best_mask
+        best, best_mask = size, clique
+        if target is not None and best >= target:
             raise _Stop(False)
-        if state["best"] >= root_bound:
+        if best >= root_bound:
             raise _Stop(True)
-        if deadline is not None and state["nodes"] % 2048 == 0 and time.perf_counter() > deadline:
-            raise _Stop(False)
 
-    def expand(size: int, clique: int, P: int) -> None:
-        state["nodes"] += 1
-        check_stop()
-        order, colors = _color(P, adj, state["best"] - size)
+    def expand(size: int, clique: int, P: int, coloring=None) -> None:
+        """Branch on P's vertices, highest color first; the root passes its coloring."""
+        nonlocal nodes
+        if coloring is None:
+            nodes += 1
+            if deadline is not None and nodes % 2048 == 0 and time.perf_counter() > deadline:
+                raise _Stop(False)
+            coloring = _color(P, adj, best - size)
+        order, colors = coloring
         for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= state["best"]:
+            if size + colors[i] <= best:
                 return
             v = order[i]
             bit = 1 << v
             extended = clique | bit
-            if size + 1 > state["best"]:
-                state["best"] = size + 1
-                state["mask"] = extended
-                check_stop()
+            if size + 1 > best:
+                improve(size + 1, extended)
             P2 = P & adj[v]
             if P2:
                 expand(size + 1, extended, P2)
@@ -418,6 +415,11 @@ def max_clique(
         coloring is _color(P, adj).  Groups go in descending order of their
         highest greedy color, so the color bound prunes the rest as in
         expand.  descend(size, clique, P) searches below each representative.
+        Only the root (size 0) and depth 2 (size 1) group, and neither can
+        improve the incumbent: with an edge in the graph the greedy seed's
+        first try starts at a vertex of largest degree and always completes,
+        so it holds at least 2 vertices; without one the root bound is 1 and
+        the seed has stopped the search.
         """
         groups: dict = {}
         top: dict = {}
@@ -428,26 +430,31 @@ def max_clique(
             if deadline is not None and seen % 256 == 0 and time.perf_counter() > deadline:
                 raise _Stop(False)
         for g in sorted(groups, key=top.__getitem__, reverse=True):
-            if size + top[g] <= state["best"]:
+            if size + top[g] <= best:
                 return
             group = groups[g]
             bit = group & -group
-            v = bit.bit_length() - 1
-            extended = clique | bit
-            if size + 1 > state["best"]:
-                state["best"] = size + 1
-                state["mask"] = extended
-                check_stop()
-            P2 = P & adj[v]
-            if size + 1 + P2.bit_count() > state["best"]:
-                descend(size + 1, extended, P2)
+            P2 = P & adj[bit.bit_length() - 1]
+            if size + 1 + P2.bit_count() > best:
+                descend(size + 1, clique | bit, P2)
             P &= ~group
 
     try:
-        check_stop()
+        if not num:
+            raise _Stop(True)  # the empty graph: size 0, proven, no nodes
+        if symmetry_reduction and cand is None:
+            raise ValueError("symmetry reduction needs the graph's candidate set")
+        full = (1 << num) - 1
+        root_coloring = _color(full, adj)
+        root_bound = root_coloring[1][-1]
+        seed_bound = root_bound if target is None else min(target, root_bound)
+        seed = _greedy_clique(adj, num, seed_bound, deadline)
+        improve(seed.bit_count(), seed)
+        if deadline is not None and time.perf_counter() > deadline:
+            raise _Stop(False)
         if symmetry_reduction:
-            classes = [p.classes for p in graph.candidates.partitions]
-            sizes = [p.sizes for p in graph.candidates.partitions]
+            classes = [p.classes for p in cand.partitions]
+            sizes = [p.sizes for p in cand.partitions]
 
             def depth2(size: int, clique: int, P: int) -> None:
                 fixed = classes[clique.bit_length() - 1]  # clique is the root alone
@@ -457,41 +464,20 @@ def max_clique(
 
             branch_orbits(0, 0, full, root_coloring, sizes.__getitem__, depth2)
         else:
-            for v in range(num):
-                later = (full >> (v + 1)) << (v + 1)
-                P = adj[v] & later
-                if P.bit_count() + 1 > state["best"]:
-                    expand(1, 1 << v, P)
+            expand(0, 0, full, root_coloring)
         proven = True
     except _Stop as stop:
         proven = stop.proven
 
-    vertices = tuple(_set_bits(state["mask"]))
-    return _outcome(graph, state["best"], vertices, proven, state["nodes"], t0, root_bound)
-
-
-def _outcome(
-    graph: CompatibilityGraph,
-    size: int,
-    vertices: tuple[int, ...],
-    proven: bool,
-    nodes: int,
-    t0: float,
-    root_bound: int,
-) -> SearchOutcome:
-    best = None
-    if graph.candidates is not None:
-        cand = graph.candidates
-        best = PartitionSystem(
-            cand.n,
-            cand.k,
-            [cand.partitions[v] for v in vertices],
-            name=f"search({cand.n},{cand.k})",
-        )
+    vertices = tuple(_set_bits(best_mask))
+    system = None
+    if cand is not None:
+        parts = [cand.partitions[v] for v in vertices]
+        system = PartitionSystem(cand.n, cand.k, parts, name=f"search({cand.n},{cand.k})")
     return SearchOutcome(
-        best=best,
+        best=system,
         vertices=vertices,
-        size=size,
+        size=best,
         proven_optimal=proven,
         nodes_explored=nodes,
         elapsed=time.perf_counter() - t0,

@@ -68,6 +68,20 @@ def test_parse_uncovered_element():
     assert err.value.line == 2
 
 
+def test_parse_huge_header_builds_no_n_bit_mask():
+    # a 10^7-bit mask is 1.25 MB; the uncovered element is still named
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="element 1 uncovered"):
+            parse("10000000 1 1\n0\n")
+        with pytest.raises(ParseError, match="element 1 uncovered"):
+            parse(json.dumps({"n": 10**7, "k": 1, "partitions": [[[0]]]}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+
+
 def test_parse_duplicate_element():
     with pytest.raises(ParseError, match="appears more than once"):
         parse("4 2 1\n0,1|1,2,3\n")

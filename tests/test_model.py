@@ -257,6 +257,18 @@ def test_verify_keeps_a_few_bytes_per_class():
     assert peak < 100 * classes, peak / classes
 
 
+def test_verify_empty_system_builds_no_n_bit_mask():
+    # a 10^7-bit mask is 1.25 MB; a system with no partition needs none
+    tracemalloc.start()
+    try:
+        report = verify_sperner(PartitionSystem(10**7, 1, []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 100_000, peak
+
+
 # containments as it stood with one global switch: subset enumeration while
 # the summed enumeration cost stayed within OLD_SUBSET_ENUM_LIMIT, else an
 # all-pairs scan.  Its two branches are kept here as reference indexes.

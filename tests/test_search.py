@@ -407,6 +407,36 @@ class TestMaxClique:
         assert (outcome.size, outcome.proven_optimal, outcome.nodes_explored) == (9, True, 0)
         assert outcome.root_bound == 9
 
+    def test_empty_graph(self):
+        for reduced in (False, True):
+            outcome = max_clique(graph_from_edges(0, []), symmetry_reduction=reduced)
+            assert outcome == outcome._replace(
+                best=None, vertices=(), size=0, proven_optimal=True, nodes_explored=0, root_bound=0
+            )
+
+    def test_plain_zero_budget_stops_after_the_seed(self):
+        graph = build_graph(enumerate_partitions(8, 3, 2))
+        outcome = max_clique(graph, time_budget=0.0)
+        seed = _greedy_clique(graph.adj, graph.num_vertices, outcome.root_bound, 0.0)
+        assert (outcome.proven_optimal, outcome.nodes_explored) == (False, 0)
+        assert outcome.vertices == tuple(_set_bits(seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_greedy_seed_holds_an_edge(self, data):
+        # why the reduced search's root and depth-2 groups never improve the incumbent
+        num = data.draw(st.integers(1, 30), label="num")
+        pairs = [(u, v) for u in range(num) for v in range(u + 1, num)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="edges")
+        graph = graph_from_edges(num, compress(pairs, keep))
+        bound = data.draw(st.integers(0, num + 1), label="bound")
+        seed = _greedy_clique(graph.adj, num, bound, deadline=0.0)
+        if any(keep):
+            assert seed.bit_count() >= 2
+        else:
+            outcome = max_clique(graph)
+            assert (outcome.size, outcome.proven_optimal, outcome.nodes_explored) == (1, True, 0)
+
     def test_time_budget_covers_setup(self):
         graph = build_graph(enumerate_partitions(10, 4, 2))
         t0 = time.perf_counter()
@@ -484,6 +514,27 @@ class TestReducedSearch:
         # tiny_oracle has no coloring bound; (8,3) takes it about half a minute
         graph = build_graph(enumerate_partitions(n, k, 2))
         assert max_clique(graph, symmetry_reduction=True).size == tiny_oracle(graph), (n, k)
+
+    @pytest.mark.parametrize(
+        "n,k,target,expected",
+        [
+            # (size, proven, nodes, root bound) of the exact searches ...
+            (7, 3, None, (5, True, 9, 12)),
+            (8, 3, None, (8, True, 117, 24)),
+            (9, 3, None, (28, True, 3, 51)),
+            (10, 5, None, (9, True, 0, 9)),
+            (9, 4, None, (8, True, 1925, 15)),
+            # ... and of the target searches the greedy seed settles
+            (10, 4, 9, (9, False, 0, 40)),
+            (11, 5, 9, (9, False, 0, 19)),
+            (12, 6, 11, (11, False, 0, 11)),
+            (10, 3, 32, (32, False, 0, 91)),
+        ],
+    )
+    def test_pinned_outcomes(self, n, k, target, expected):
+        outcome = solve_sp(n, k, target=target)
+        got = (outcome.size, outcome.proven_optimal, outcome.nodes_explored, outcome.root_bound)
+        assert got == expected
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_n9_matches_exact_bounds(self, k):
