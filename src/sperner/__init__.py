@@ -59,13 +59,11 @@ _EXPORTS = {
             "verify_sperner",
         ),
         "rotation": (
-            "INF",
             "CircularLayout",
             "DifferenceCheck",
             "InitialPartition",
             "check_difference_property",
             "develop",
-            "difference",
             "solve_initial_2k1",
         ),
         "search": (

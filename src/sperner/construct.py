@@ -99,7 +99,7 @@ def construct_2k2(k: int) -> PartitionSystem:
     Develops the initial partition with triangles {1, 2, center} and
     {k+1, k+2, k+3} plus the edges {i, 2k+4-i} for i = 3..k on a
     (2k+1)-circle with center (labeled 2k+2).  The triangles realize only
-    the distances 1, 2 and INF while the edges realize 3..k once each.
+    the distances 1 and 2 while the edges realize 3..k once each.
     """
     if k < 3:
         raise ValueError("construct_2k2 requires k >= 3 (k = 2 is the two-class case)")

@@ -1,4 +1,4 @@
-"""Ground-set model: partitions, partition systems and the antichain verifier.
+"""Ground-set model: partitions, partition systems, their orbits and the antichain verifier.
 
 Elements are the integers 0..n-1 and every class of a partition is stored
 as an int bitmask over the ground set, so containment tests are single
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -35,6 +35,7 @@ __all__ = [
     "validate_partition",
     "verify_sperner",
     "relabel",
+    "orbit",
     "is_almost_uniform",
     "format_report",
 ]
@@ -207,11 +208,12 @@ def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
     into violations, build_graph into non-edges and
     check_difference_property into failures.  For each class sup and each
     smaller size s present it runs the cheaper of two searches: look up
-    the comb(|sup|, s) subsets of sup, each the sum of a combination of
-    sup's single-bit masks, or test the present classes of size s one by
-    one (ties go to the lookup).  Each (class, size) step costs the
-    smaller of the two, so the work grows with the classes of each size
-    and no input needs a size limit.
+    the comb(|sup|, s) subsets of sup, or test the present classes of
+    size s one by one (ties go to the lookup).  A subset of size |sup|-1
+    is sup less one bit; a smaller one is the sum of a combination of
+    sup's single-bit masks.  Each (class, size) step costs the smaller of
+    the two, so the work grows with the classes of each size and no input
+    needs a size limit.
     """
     # a set is used as given: verify_sperner hands over its one class set
     present = classes if isinstance(classes, (set, frozenset)) else set(classes)
@@ -226,22 +228,24 @@ def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
         for s in sizes:
             if s >= size:
                 break
-            if comb(size, s) <= counts[s]:
-                if bits is None:
-                    bits = []
-                    rest = sup
-                    while rest:
-                        low = rest & -rest
-                        bits.append(low)
-                        rest ^= low
-                for sub in map(sum, combinations(bits, s)):
-                    if sub in present:
-                        yield sub, sup
-            else:
+            if comb(size, s) > counts[s]:
                 if s not in of_size:
                     of_size[s] = [c for c in present if c.bit_count() == s]
                 for sub in of_size[s]:
                     if sub & ~sup == 0:
+                        yield sub, sup
+            elif s == size - 1:
+                rest = sup  # drop one bit, highest first: the order combinations gives
+                while rest:
+                    top = 1 << rest.bit_length() - 1
+                    rest ^= top
+                    if sup ^ top in present:
+                        yield sup ^ top, sup
+            else:
+                if bits is None:
+                    bits = [1 << e for e in elements_of(sup)]
+                for sub in map(sum, combinations(bits, s)):
+                    if sub in present:
                         yield sub, sup
 
 
@@ -345,6 +349,39 @@ def relabel(system: PartitionSystem, perm: Sequence[int]) -> PartitionSystem:
         for p in system.partitions
     ]
     return PartitionSystem(system.n, system.k, partitions, name=system.name)
+
+
+def _turn(masks: Iterable[int], t: int, runs: Iterable[tuple[int, int]]) -> list[int]:
+    """Turn class masks t >= 0 steps along every run (start, length); other elements stay."""
+    for start, length in runs:
+        ring = ((1 << length) - 1) << start
+        s = t % length
+        masks = [c ^ (r := c & ring) ^ ((r << s | r >> (length - s)) & ring) for c in masks]
+    return list(masks)
+
+
+def orbit(partition: Partition, cycles, name: str | None = None) -> PartitionSystem:
+    """The images of a partition under the powers t = 0..L-1 of a permutation given by runs.
+
+    Run (start, length) is the cycle start -> start+1 -> ... -> start+length-1
+    -> start; elements outside the runs are fixed.  L is the lcm of the
+    lengths, and repeated images are kept.
+    """
+    n, k = partition.n, partition.k
+    runs = [(start, length) for start, length in cycles]
+    covered = 0
+    for run in runs:
+        start, length = run
+        if not (type(start) is int and type(length) is int and length >= 1):  # refuses True, 1.0
+            raise ValueError(f"run {run!r} needs an int start and an int length >= 1")
+        if start < 0 or start + length > n:
+            raise ValueError(f"run {run} reaches outside 0..{n - 1}")
+        if covered & (ring := ((1 << length) - 1) << start):
+            raise ValueError(f"run {run} overlaps another run")
+        covered |= ring
+    period = lcm(*(length for _, length in runs))
+    parts = [Partition(n, _turn(partition.classes, t, runs), k) for t in range(period)]
+    return PartitionSystem(n, k, parts, name=name)
 
 
 def is_almost_uniform(system: PartitionSystem) -> bool:

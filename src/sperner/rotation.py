@@ -6,13 +6,13 @@ with one extra point at the circle's center, CircularLayout.center = m+1
 (point x is mask element x-1, so the center is the element m that the
 text format's ``inf`` names).  Rotating the circle labels m times while
 the center stays fixed ("developing") turns the initial partition into a
-system of m partitions.
+system of m partitions: model.orbit under the one run (0, m).
 
 Whether the developed system is Sperner can be decided locally from the
 initial partition.  The distance between two circle points is measured
-the short way around the circle; any pair involving the center gets the
-distance INF.  An initial partition made of edges (size-2 classes) and
-triangles (size-3 classes) has the *difference property* when
+the short way around the circle; pairs with the center, which lies in
+one class only, have none.  An initial partition made of edges (size-2
+classes) and triangles (size-3 classes) has the *difference property* when
 
   * the edges realize pairwise distinct distances,
   * no edge distance occurs between two points of a triangle,
@@ -36,22 +36,16 @@ from collections.abc import Iterable
 from itertools import combinations
 from typing import NamedTuple
 
-from .model import Partition, PartitionSystem, containments, mask_of
+from .model import Partition, PartitionSystem, _turn, containments, mask_of, orbit
 
 __all__ = [
-    "INF",
     "CircularLayout",
     "InitialPartition",
     "DifferenceCheck",
-    "difference",
     "develop",
     "check_difference_property",
     "solve_initial_2k1",
 ]
-
-# Distance assigned to any pair involving the center point.  It sorts
-# after every finite distance.
-INF = float("inf")
 
 
 class _LayoutFields(NamedTuple):
@@ -66,8 +60,8 @@ class CircularLayout(_LayoutFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.m < 3:
-            raise ValueError("a circular layout needs at least 3 points")
+        if type(self.m) is not int or self.m < 3:  # refuses True and 5.0
+            raise ValueError(f"a circular layout needs at least 3 points, an int, not {self.m!r}")
         return self
 
     @property
@@ -91,30 +85,19 @@ class CircularLayout(_LayoutFields):
             raise ValueError(f"point {x!r} is not a layout point; the circle is 1..{self.m} {where}")
 
 
-def difference(layout: CircularLayout, i, j):
-    """Shortest circular distance between two layout points; INF at the center."""
-    if i == j:
-        raise ValueError("difference of a point with itself is undefined")
-    layout._check_point(i)
-    layout._check_point(j)
-    if layout.center in (i, j):
-        return INF
-    d = (i - j) % layout.m
-    return min(d, layout.m - d)
-
-
 class InitialPartition:
     """A partition of a circular layout's points, the seed of develop().
 
-    Classes are given as iterables of point labels (1..m, layout.center
-    for the center).  class_differences[c] is the sorted multiset of
-    pairwise distances inside class c.
+    Classes are given as nonempty iterables of point labels (1..m,
+    layout.center for the center).
     """
 
-    __slots__ = ("layout", "classes", "class_differences")
+    __slots__ = ("layout", "classes")
 
     def __init__(self, layout: CircularLayout, classes):
         classes = [tuple(c) for c in classes]
+        if () in classes:
+            raise ValueError(f"class {classes.index(())} is empty")
         for c in classes:
             for x in c:
                 layout._check_point(x)
@@ -124,40 +107,19 @@ class InitialPartition:
             raise ValueError("classes must cover every layout point exactly once")
         self.layout = layout
         self.classes = normalized
-        self.class_differences = tuple(
-            tuple(sorted(difference(layout, x, y) for x, y in combinations(c, 2)))
-            for c in normalized
-        )
-
-    def _masks(self) -> list[int]:
-        """The classes as 0-based masks, in class order: point x -> element x-1."""
-        return [mask_of(x - 1 for x in c) for c in self.classes]
 
     def to_partition(self) -> Partition:
-        return Partition(self.layout.ground_size, self._masks())
+        """Point x becomes element x-1."""
+        return Partition(self.layout.ground_size, [mask_of(x - 1 for x in c) for c in self.classes])
 
     def __repr__(self):
         body = ", ".join("{" + ",".join(str(x) for x in c) + "}" for c in self.classes)
         return f"<InitialPartition m={self.layout.m} center={self.layout.has_center} {body}>"
 
 
-def _rotate(mask: int, t: int, m: int) -> int:
-    """Turn a class mask t steps (0 <= t < m) around the m-circle.
-
-    Circle element e goes to (e + t) mod m; the center bit m stays fixed.
-    """
-    circle = (1 << m) - 1
-    ring = mask & circle
-    return ((ring << t | ring >> (m - t)) & circle) | (mask ^ ring)
-
-
 def develop(init: InitialPartition, name: str | None = None) -> PartitionSystem:
     """Rotate the initial partition m times; rotation 0 is the initial partition itself."""
-    m = init.layout.m
-    n = init.layout.ground_size
-    masks = init._masks()
-    parts = [Partition(n, [_rotate(c, t, m) for c in masks], len(masks)) for t in range(m)]
-    return PartitionSystem(n, len(masks), parts, name=name)
+    return orbit(init.to_partition(), [(0, init.layout.m)], name)
 
 
 class DifferenceCheck(NamedTuple):
@@ -174,15 +136,17 @@ def check_difference_property(init: InitialPartition) -> DifferenceCheck:
     Supports initial partitions whose classes have sizes 2..4; anything
     larger raises.
     """
-    sizes = [len(c) for c in init.classes]
-    if any(s < 2 or s >= 5 for s in sizes):
+    if any(not 2 <= len(c) <= 4 for c in init.classes):
         raise ValueError("unsupported initial shape")
 
-    m = init.layout.m
+    m, center = init.layout.m, init.layout.center
     problems = []
 
-    edges = [(c, d[0]) for c, d in zip(init.classes, init.class_differences) if len(c) == 2]
-    larges = [(c, d) for c, d in zip(init.classes, init.class_differences) if len(c) >= 3]
+    def distances(c):  # short way round, pairs with the center skipped
+        return {min((x - y) % m, (y - x) % m) for x, y in combinations(c, 2) if center not in (x, y)}
+
+    edges = [(c, d) for c in init.classes if len(c) == 2 for d in distances(c)]
+    larges = [(c, distances(c)) for c in init.classes if len(c) >= 3]
 
     counts = Counter(d for _, d in edges)
     for d, cnt in sorted(counts.items()):
@@ -209,11 +173,10 @@ def check_difference_property(init: InitialPartition) -> DifferenceCheck:
     # as copies already owned, containments between copies of different
     # sizes through model.containments.
     owner: dict[int, tuple[int, ...]] = {}
-    for c, mask in zip(init.classes, init._masks()):
-        if len(c) < 3:
-            continue
+    for c, _ in larges:
+        mask = mask_of(x - 1 for x in c)
         for t in range(m):
-            rot = _rotate(mask, t, m)
+            (rot,) = _turn([mask], t, [(0, m)])
             if rot in owner:
                 if owner[rot] == c:
                     problems.append(f"class {set(c)} repeats itself when developed")
@@ -259,8 +222,8 @@ def solve_initial_2k1(k: int) -> InitialPartition:
     {1, 1+k/2, 1+k} up to rotation: it must realize the diameter k (an
     edge realizing k would repeat when developed) and only one other
     distance, which pins the circular gaps to (k/2, k/2, k).  The k-1
-    edges must then realize each distance in {1..k} minus {k/2, k}, plus
-    INF, exactly once, a Skolem-type starter problem.
+    edges must then realize each distance in {1..k} minus {k/2, k} once
+    and one of them hold the center, a Skolem-type starter problem.
 
     It has a closed form.  On the points 0..2k-1, each run (2c, D) of
     _starter_runs places the edges {c - d/2, c + d/2} mod 2k, d in D;

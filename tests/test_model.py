@@ -2,7 +2,7 @@ import random
 import time
 import tracemalloc
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -451,6 +451,64 @@ def test_relabel_invariance_random():
         perm = list(range(system.n))
         rng.shuffle(perm)
         assert verify_sperner(relabel(system, perm)).valid
+
+
+@st.composite
+def partitions_with_runs(draw):
+    """A random partition of 1..12 elements and 1-3 disjoint runs, the rest fixed points."""
+    n = draw(st.integers(1, 12))
+    cuts = sorted(draw(st.sets(st.integers(0, n), min_size=2, max_size=6)))
+    runs = [(a, b - a) for a, b in zip(cuts[::2], cuts[1::2])][:3]
+    blocks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    classes = [[e for e in range(n) if blocks[e] == b] for b in sorted(set(blocks))]
+    return Partition(n, classes), runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions_with_runs())
+def test_orbit_matches_relabel_powers(args):
+    p, runs = args
+    perm = list(range(p.n))
+    for start, length in runs:
+        for i in range(length):
+            perm[start + i] = start + (i + 1) % length
+    system = model.orbit(p, runs, name="o")
+    assert len(system) == lcm(*(length for _, length in runs))
+    assert system.name == "o"
+    image = PartitionSystem(p.n, p.k, [p])
+    for q in system.partitions:
+        assert q == image.partitions[0]
+        image = relabel(image, perm)
+
+
+def test_orbit_under_two_runs_is_sperner():
+    p = Partition(11, [{0, 1}, {2, 4}, {3, 5}, {6, 9}, {7, 8, 10}])
+    system = model.orbit(p, [(0, 5), (5, 5)])
+    assert (system.n, system.k, len(system)) == (11, 5, 5)
+    assert system.partitions[0] == p
+    assert verify_sperner(system).valid
+
+
+def test_orbit_without_runs_is_the_partition_alone():
+    p = Partition(3, [{0}, {1, 2}])
+    assert model.orbit(p, []).partitions == (p,)
+
+
+@pytest.mark.parametrize(
+    "runs, message",
+    [
+        ([(0, 3), (2, 2)], "overlaps"),
+        ([(4, 2)], "outside 0..4"),
+        ([(-1, 2)], "outside 0..4"),
+        ([(1, 0)], "length >= 1"),
+        ([(0, 2.0)], "int"),
+        ([(True, 2)], "int"),
+    ],
+    ids=["overlap", "past-the-end", "negative-start", "empty", "float-length", "bool-start"],
+)
+def test_orbit_refuses_bad_runs(runs, message):
+    with pytest.raises(ValueError, match=message):
+        model.orbit(Partition(5, [{0, 1}, {2, 3, 4}]), runs)
 
 
 def test_verify_invariant_under_reordering():

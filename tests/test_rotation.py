@@ -3,19 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sperner import (
-    INF,
     CircularLayout,
     InitialPartition,
     check_difference_property,
     develop,
-    difference,
     enumerate_partitions,
     load_fixture,
     solve_initial_2k1,
     verify_sperner,
 )
-from sperner.model import elements_of, mask_of
-from sperner.rotation import _rotate
+from sperner.model import _turn, elements_of, mask_of
 
 
 def fig2_initial():
@@ -23,26 +20,6 @@ def fig2_initial():
     return InitialPartition(
         layout, [(1, 5, 9), (8, 11), (7, 12), (6, 13), (2, 16), (4, 10), (3, layout.center), (14, 15)]
     )
-
-
-def test_difference_values():
-    layout = CircularLayout(16, has_center=True)
-    assert difference(layout, 1, 9) == 8
-    assert difference(layout, 2, 16) == 2
-    assert difference(layout, 3, layout.center) == INF
-    assert difference(layout, 16, 1) == 1
-
-
-def test_difference_same_point_rejected():
-    layout = CircularLayout(16, has_center=True)
-    with pytest.raises(ValueError, match="difference of a point with itself"):
-        difference(layout, 3, 3)
-
-
-def test_difference_requires_center():
-    layout = CircularLayout(8)
-    with pytest.raises(ValueError, match="no center"):
-        difference(layout, 1, layout.center)
 
 
 def test_initial_partition_checks_every_label():
@@ -57,9 +34,23 @@ def test_initial_partition_checks_every_label():
         InitialPartition(CircularLayout(6), [(1, 2, 7), (3, 4), (5, 6)])
     layout = CircularLayout(8, has_center=True)
     with pytest.raises(ValueError, match="layout.center = 9"):
-        InitialPartition(layout, [(1, 2), (3, 4), (5, 6), (7, 8, INF)])
+        InitialPartition(layout, [(1, 2), (3, 4), (5, 6), (7, 8, float("inf"))])
     init = InitialPartition(layout, [(1, 2), (3, 4), (5, 6), (7, 8, layout.center)])
     assert init.to_partition().classes[-1] == 0b111000000
+
+
+def test_initial_partition_refuses_an_empty_class():
+    # it would cover the circle, develop to a malformed system and fail
+    # the difference check only as an unsupported shape
+    with pytest.raises(ValueError, match="class 0 is empty"):
+        InitialPartition(CircularLayout(5), [(), (1, 2), (3, 4, 5)])
+
+
+def test_circular_layout_refuses_a_non_int_size():
+    with pytest.raises(ValueError, match="5.0"):
+        CircularLayout(5.0)
+    with pytest.raises(ValueError, match="True"):
+        CircularLayout(True, has_center=True)
 
 
 def test_initial_partition_must_cover():
@@ -75,7 +66,7 @@ def test_initial_partition_must_cover():
 def test_rotate_turns_the_circle_and_fixes_the_center(args):
     m, t, mask = args
     turned = [e if e == m else (e + t) % m for e in elements_of(mask)]
-    assert _rotate(mask, t, m) == mask_of(turned)
+    assert _turn([mask], t, [(0, m)]) == [mask_of(turned)]
 
 
 def test_develop_identity_rotation():
@@ -131,7 +122,6 @@ def test_difference_property_duplicate_edge():
 def test_difference_property_2k2_seed():
     layout = CircularLayout(9, has_center=True)
     init = InitialPartition(layout, [(1, 2, layout.center), (3, 9), (4, 8), (5, 6, 7)])
-    assert init.class_differences == ((1, INF, INF), (3,), (4,), (1, 1, 2))
     assert check_difference_property(init).ok
 
 
