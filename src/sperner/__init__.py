@@ -25,7 +25,6 @@ _EXPORTS = {
     for module, names in {
         "bounds": (
             "BoundResult",
-            "SpParams",
             "best_lower",
             "best_upper",
             "bounds_table",
@@ -67,7 +66,6 @@ _EXPORTS = {
             "solve_initial_2k1",
         ),
         "search": (
-            "CandidateSet",
             "CompatibilityGraph",
             "SearchOutcome",
             "build_graph",

@@ -1,8 +1,9 @@
 """Exact lower/upper bounds for SP(n, k), with provenance.
 
 SP(n, k) is the largest number of partitions in a Sperner k-partition
-system on an n-set.  Everything here is exact integer arithmetic; the
-single floor in counting_upper_bound is the only rounding anywhere.
+system on an n-set, and n = ell*k + r with 0 <= r < k throughout, as
+divmod(n, k) gives them.  Everything here is exact integer arithmetic;
+the single floor in counting_upper_bound is the only rounding anywhere.
 
 Conventions beyond the classical results: SP(n, k) = 0 when n < k (no
 k-partition exists) and SP(n, k) = 1 for k <= n < 2k (every k-partition
@@ -22,7 +23,6 @@ from math import comb
 from typing import NamedTuple
 
 __all__ = [
-    "SpParams",
     "BoundResult",
     "counting_upper_bound",
     "known_exact",
@@ -36,29 +36,9 @@ __all__ = [
 Provenance = tuple[tuple[str, str], ...]
 
 
-class _SpFields(NamedTuple):
-    n: int
-    k: int
-
-
-class SpParams(_SpFields):
-    """n = ell*k + r with 0 <= r < k."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n < 1 or self.k < 1:
-            raise ValueError("n and k must be positive")
-        return self
-
-    @property
-    def ell(self) -> int:
-        return self.n // self.k
-
-    @property
-    def r(self) -> int:
-        return self.n - self.ell * self.k
+def _check_positive(n: int, k: int) -> None:
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
 
 
 class BoundResult(NamedTuple):
@@ -77,13 +57,14 @@ class BoundResult(NamedTuple):
 def counting_upper_bound(n: int, k: int) -> int:
     """floor( C(n, ell) * (n-ell) / ((k-r)*(n-ell) + r*(ell+1)) ), exact.
 
-    Counting bound over the classes of size at most ell; when r = 0 it
-    collapses to the exact uniform value C(n-1, ell-1).
+    Here n = ell*k + r with 0 <= r < k.  Counting bound over the classes
+    of size at most ell; when r = 0 it collapses to the exact uniform
+    value C(n-1, ell-1).
     """
-    p = SpParams(n, k)
+    _check_positive(n, k)
     if n < k:
         raise ValueError("no k-partition of an n-set exists when n < k")
-    ell, r = p.ell, p.r
+    ell, r = divmod(n, k)
     if r == 0:
         # the r-term vanishes (and n - ell degenerates to 0 when k = 1)
         return comb(n, ell) // k
@@ -94,20 +75,21 @@ def counting_upper_bound(n: int, k: int) -> int:
 
 def known_exact(n: int, k: int) -> tuple[int, str] | None:
     """Exact value of SP(n, k) when one is known, with a citation string."""
-    p = SpParams(n, k)
+    _check_positive(n, k)
+    ell, r = divmod(n, k)
     candidates: list[tuple[int, str]] = []
     if n < k:
         candidates.append((0, "no k-partition of an n-set exists when n < k"))
     elif n < 2 * k:
         candidates.append((1, "a singleton class limits the system to one partition"))
     else:
-        if p.r == 0:
+        if r == 0:
             candidates.append(
-                (comb(n - 1, p.ell - 1), "exact value when k divides n (uniform classes)")
+                (comb(n - 1, ell - 1), "exact value when k divides n (uniform classes)")
             )
         if k == 2 and n % 2 == 1:
             candidates.append(
-                (comb(n - 1, p.ell - 1), "exact value for 2-partition systems on odd n")
+                (comb(n - 1, ell - 1), "exact value for 2-partition systems on odd n")
             )
         if n == 2 * k + 1 and k % 2 == 0:
             candidates.append(
@@ -127,7 +109,7 @@ def known_exact(n: int, k: int) -> tuple[int, str] | None:
 
 def best_upper(n: int, k: int) -> tuple[int, Provenance]:
     """Minimum of all applicable upper bounds; provenance lists every rule attaining it."""
-    SpParams(n, k)
+    _check_positive(n, k)
     options: list[tuple[int, str, str]] = []
     ke = known_exact(n, k)
     if ke is not None:
@@ -239,7 +221,7 @@ def best_lower(n: int, k: int) -> tuple[int, Provenance]:
     The provenance is the derivation chain from the base fact up to n,
     with each run of consecutive extensions merged into one step.
     """
-    SpParams(n, k)
+    _check_positive(n, k)
     if n < k:
         ke = known_exact(n, k)
         assert ke is not None
@@ -280,7 +262,7 @@ def bounds_table(k: int, max_n: int) -> list[tuple[int, int, int]]:
     """
     if max_n < k:
         return []
-    SpParams(k, k)  # k < 1 raises here, as at sp_bounds' first row
+    _check_positive(k, k)  # k < 1 raises here, as at sp_bounds' first row
     steps = _steps(max_n, k)
     rows = []
     for n in range(k, max_n + 1):

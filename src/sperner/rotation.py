@@ -62,6 +62,8 @@ class CircularLayout(_LayoutFields):
         self = super().__new__(cls, *args, **kwargs)
         if type(self.m) is not int or self.m < 3:  # refuses True and 5.0
             raise ValueError(f"a circular layout needs at least 3 points, an int, not {self.m!r}")
+        if type(self.has_center) is not bool:  # refuses "no", 1 and None
+            raise ValueError(f"has_center must be True or False, not {self.has_center!r}")
         return self
 
     @property

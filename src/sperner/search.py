@@ -3,13 +3,16 @@
 Candidate k-partitions are generated block by block (the block holding
 the smallest unplaced element is drawn from the rest with
 itertools.combinations, the last block is what remains) and sorted into
-canonical lexicographic order.  candidate_count counts them without
+canonical lexicographic order.  They come back as a PartitionSystem, the
+family type of the whole package, so serialize and verify_sperner take
+them as they take any system.  candidate_count counts them without
 enumerating, so solve_sp refuses a search whose adjacency would be too
 large before enumerating.  Their pairwise-compatibility graph is built
 (two partitions are adjacent iff all their classes are mutually
 incomparable) from model.containments, the same class-containment index
-the verifier reads, and a maximum Sperner system is exactly a maximum
-clique in that graph.
+the verifier reads.  A maximum Sperner system is a largest subfamily of
+the candidates whose classes form an antichain, which is exactly a
+maximum clique in that graph.
 
 The clique solver is a deterministic branch-and-bound with greedy-coloring
 upper bounds over bitmask candidate sets.  One routine, _color, does every
@@ -48,7 +51,6 @@ from typing import NamedTuple
 from .model import Partition, PartitionSystem, containments, verify_sperner
 
 __all__ = [
-    "CandidateSet",
     "CompatibilityGraph",
     "SearchOutcome",
     "candidate_count",
@@ -59,51 +61,15 @@ __all__ = [
 ]
 
 
-class CandidateSet:
-    """Every k-partition of [0, n) with class sizes >= min_class_size, canonically ordered.
-
-    A frozen record like the others, but not a tuple: len() is the number
-    of candidates, where a tuple's would be its field count.
-    """
-
-    __slots__ = ("n", "k", "min_class_size", "partitions")
-
-    def __init__(self, n: int, k: int, min_class_size: int, partitions: tuple[Partition, ...]):
-        for field, value in zip(self.__slots__, (n, k, min_class_size, partitions)):
-            object.__setattr__(self, field, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CandidateSet is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"CandidateSet is immutable: cannot delete {name!r}")
-
-    def _values(self) -> tuple:
-        return (self.n, self.k, self.min_class_size, self.partitions)
-
-    def __eq__(self, other):
-        return type(other) is CandidateSet and self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return CandidateSet, self._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values()))
-        return f"CandidateSet({fields})"
-
-    def __len__(self):
-        return len(self.partitions)
-
-
 class CompatibilityGraph(NamedTuple):
     """Symmetric adjacency over candidate partitions, one bitmask row per vertex."""
 
-    num_vertices: int
     adj: tuple[int, ...]
-    candidates: CandidateSet | None = None
+    candidates: PartitionSystem | None = None
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.adj)
 
 
 class SearchOutcome(NamedTuple):
@@ -136,8 +102,8 @@ def candidate_count(n: int, k: int, min_class_size: int = 2) -> int:
     return ways[n]
 
 
-def enumerate_partitions(n: int, k: int, min_class_size: int = 2) -> CandidateSet:
-    """All k-partitions with class sizes >= min_class_size, each exactly once.
+def enumerate_partitions(n: int, k: int, min_class_size: int = 2) -> PartitionSystem:
+    """The system of all k-partitions with class sizes >= min_class_size, each exactly once.
 
     Generation goes block by block.  The next block holds the smallest
     element not yet placed, and its other elements are drawn with
@@ -183,14 +149,14 @@ def enumerate_partitions(n: int, k: int, min_class_size: int = 2) -> CandidateSe
     rows.sort()
     partitions = tuple(Partition._from_canonical(n, k, masks) for _, masks in rows)
     rows.clear()  # rec's closure keeps rows alive until the cycle is collected
-    return CandidateSet(n, k, min_class_size, partitions)
+    return PartitionSystem(n, k, partitions)
 
 
 def _block_size(block: tuple[tuple[int, ...], int]) -> int:
     return len(block[0])
 
 
-def build_graph(candidates: CandidateSet) -> CompatibilityGraph:
+def build_graph(candidates: PartitionSystem) -> CompatibilityGraph:
     """Adjacency from the class-containment index rather than pairwise scans.
 
     Vertices conflict iff they share a class or one has a class properly
@@ -228,7 +194,7 @@ def build_graph(candidates: CandidateSet) -> CompatibilityGraph:
         for c in classes:
             blocked |= conflict[c]
         adj.append(full ^ blocked)
-    return CompatibilityGraph(num, tuple(adj), candidates)
+    return CompatibilityGraph(tuple(adj), candidates)
 
 
 def graph_from_edges(num_vertices: int, edges) -> CompatibilityGraph:
@@ -241,7 +207,7 @@ def graph_from_edges(num_vertices: int, edges) -> CompatibilityGraph:
             raise ValueError(f"edge ({u},{v}) out of range")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return CompatibilityGraph(num_vertices, tuple(adj))
+    return CompatibilityGraph(tuple(adj))
 
 
 def _color(P: int, adj, threshold: int = 0) -> tuple[list[int], list[int]]:

@@ -4,7 +4,6 @@ from math import comb, floor
 import pytest
 
 from sperner import (
-    SpParams,
     best_lower,
     best_upper,
     bounds_table,
@@ -24,12 +23,6 @@ def rational_bound(n, k):
         return floor(Fraction(comb(n, ell), k))
     value = Fraction(comb(n, ell)) / (Fraction(k - r) + Fraction(r * (ell + 1), n - ell))
     return floor(value)
-
-
-def test_params_decomposition():
-    p = SpParams(9, 4)
-    assert (p.ell, p.r) == (2, 1)
-    assert p.ell * p.k + p.r == p.n
 
 
 def test_counting_bound_exact_rational_values():
@@ -59,6 +52,17 @@ def test_counting_bound_divisible_case():
 def test_counting_bound_needs_n_at_least_k():
     with pytest.raises(ValueError, match="n < k"):
         counting_upper_bound(3, 4)
+
+
+@pytest.mark.parametrize(
+    "bound", [counting_upper_bound, known_exact, best_upper, best_lower, sp_bounds]
+)
+def test_non_positive_n_or_k_is_refused(bound):
+    for n, k in [(0, 1), (3, 0), (-2, 3)]:
+        with pytest.raises(ValueError, match="n and k must be positive"):
+            bound(n, k)
+    with pytest.raises(ValueError, match="n and k must be positive"):
+        bounds_table(0, 4)
 
 
 def test_known_exact_table():

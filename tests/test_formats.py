@@ -12,6 +12,7 @@ from sperner import (
     PartitionSystem,
     construct_2k2,
     construct_3k1,
+    enumerate_partitions,
     fixture_names,
     fixture_text,
     load_fixture,
@@ -26,6 +27,13 @@ def test_text_roundtrip_all_fixtures():
     for name in fixture_names():
         system = load_fixture(name)
         assert parse(serialize(system, fmt="text")) == system
+
+
+def test_candidate_set_roundtrips():
+    # enumerate_partitions gives a PartitionSystem, so it serializes like any system
+    candidates = enumerate_partitions(7, 3)
+    assert parse(serialize(candidates)) == candidates
+    assert parse(serialize(candidates, fmt="json")) == candidates
 
 
 def test_json_roundtrip_all_fixtures():

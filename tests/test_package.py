@@ -9,7 +9,6 @@ import pytest
 import sperner
 from sperner import (
     BoundResult,
-    CandidateSet,
     CircularLayout,
     CompatibilityGraph,
     DifferenceCheck,
@@ -17,14 +16,13 @@ from sperner import (
     PartitionSystem,
     SearchOutcome,
     SpernerReport,
-    SpParams,
     enumerate_partitions,
 )
+from sperner.search import graph_from_edges
 
 # every public name -> the submodule that defines it
 PUBLIC = {
     "BoundResult": "bounds",
-    "CandidateSet": "search",
     "CircularLayout": "rotation",
     "CompatibilityGraph": "search",
     "DifferenceCheck": "rotation",
@@ -34,7 +32,6 @@ PUBLIC = {
     "Partition": "model",
     "PartitionSystem": "model",
     "SearchOutcome": "search",
-    "SpParams": "bounds",
     "SpernerReport": "model",
     "best_lower": "bounds",
     "best_upper": "bounds",
@@ -75,7 +72,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 46
     assert sorted(sperner.__all__) == sorted(PUBLIC)
 
 
@@ -119,17 +116,8 @@ def _system():
     return PartitionSystem(4, 2, [Partition(4, [[0, 1], [2, 3]])])
 
 
-def _candidates():
-    return CandidateSet(*_candidate_fields())
-
-
-def _candidate_fields():
-    return (4, 2, 2, tuple(_system().partitions))
-
-
 # record type -> (field names in order, one set of field values)
 RECORDS = {
-    SpParams: (("n", "k"), lambda: (7, 3)),
     BoundResult: (
         ("n", "k", "lower", "upper", "lower_provenance", "upper_provenance"),
         lambda: (7, 3, 5, 5, (("r", "d"),), (("s", "e"),)),
@@ -137,8 +125,7 @@ RECORDS = {
     SpernerReport: (("valid", "violations", "wellformed_errors"), lambda: (True, (), ())),
     CircularLayout: (("m", "has_center"), lambda: (5, True)),
     DifferenceCheck: (("ok", "problems"), lambda: (False, ("edge difference 1",))),
-    CandidateSet: (("n", "k", "min_class_size", "partitions"), _candidate_fields),
-    CompatibilityGraph: (("num_vertices", "adj", "candidates"), lambda: (1, (0,), _candidates())),
+    CompatibilityGraph: (("adj", "candidates"), lambda: ((0,), _system())),
     SearchOutcome: (
         ("best", "vertices", "size", "proven_optimal", "nodes_explored", "elapsed", "root_bound"),
         lambda: (_system(), (0,), 1, True, 3, 0.5, 2),
@@ -181,21 +168,20 @@ def test_record_equality_hash_and_repr(record):
 
 def test_record_defaults():
     assert CircularLayout(5).has_center is False
-    assert CompatibilityGraph(1, (0,)).candidates is None
+    assert CompatibilityGraph((0,)).candidates is None
+    # the vertex count is read off the rows, so the two cannot disagree
+    assert CompatibilityGraph((0, 0, 0)).num_vertices == 3
+    assert graph_from_edges(4, []).num_vertices == 4
 
 
 def test_records_keep_their_validation():
     with pytest.raises(ValueError, match="at least 3 points"):
         CircularLayout(2)
-    with pytest.raises(ValueError, match="positive"):
-        SpParams(0, 1)
-    with pytest.raises(ValueError, match="positive"):
-        SpParams(n=3, k=0)
 
 
 def test_candidate_set_length_and_difference_check_truth():
-    assert len(enumerate_partitions(7, 3)) == 105
-    assert len(_candidates()) == 1
+    candidates = enumerate_partitions(7, 3)
+    assert type(candidates) is PartitionSystem and len(candidates) == 105
     assert bool(DifferenceCheck(False, ())) is False
     assert bool(DifferenceCheck(True, ())) is True
 

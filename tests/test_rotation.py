@@ -53,6 +53,13 @@ def test_circular_layout_refuses_a_non_int_size():
         CircularLayout(True, has_center=True)
 
 
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_circular_layout_refuses_a_non_bool_center(flag):
+    # "no" is truthy: it used to give a layout with a center and ground size 6
+    with pytest.raises(ValueError, match="has_center"):
+        CircularLayout(5, has_center=flag)
+
+
 def test_initial_partition_must_cover():
     layout = CircularLayout(6)
     with pytest.raises(ValueError, match="cover"):
