@@ -58,7 +58,6 @@ _EXPORTS = {
             "verify_sperner",
         ),
         "rotation": (
-            "CircularLayout",
             "DifferenceCheck",
             "InitialPartition",
             "check_difference_property",

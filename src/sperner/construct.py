@@ -14,12 +14,7 @@ from itertools import combinations
 from .bounds import FIXTURES, derivation
 from .fixtures import load_fixture
 from .model import Partition, PartitionSystem, verify_sperner
-from .rotation import (
-    CircularLayout,
-    InitialPartition,
-    develop,
-    solve_initial_2k1,
-)
+from .rotation import InitialPartition, develop, solve_initial_2k1
 
 __all__ = [
     "construct_k2",
@@ -96,17 +91,17 @@ def construct_2k1(k: int) -> PartitionSystem:
 def construct_2k2(k: int) -> PartitionSystem:
     """2k+1 partitions on 2k+2 elements, k >= 3.
 
-    Develops the initial partition with triangles {1, 2, center} and
+    Develops the initial partition with triangles {1, 2, 2k+2} and
     {k+1, k+2, k+3} plus the edges {i, 2k+4-i} for i = 3..k on a
-    (2k+1)-circle with center (labeled 2k+2).  The triangles realize only
-    the distances 1 and 2 while the edges realize 3..k once each.
+    (2k+1)-circle; the label 2k+2 is its center, so the first triangle
+    holds it.  The triangles realize only the distances 1 and 2 while the
+    edges realize 3..k once each.
     """
     if k < 3:
         raise ValueError("construct_2k2 requires k >= 3 (k = 2 is the two-class case)")
-    layout = CircularLayout(2 * k + 1, has_center=True)
-    classes = [(1, 2, layout.center), (k + 1, k + 2, k + 3)]
+    classes = [(1, 2, 2 * k + 2), (k + 1, k + 2, k + 3)]
     classes += [(i, 2 * k + 4 - i) for i in range(3, k + 1)]
-    return _developed(InitialPartition(layout, classes), f"construct_2k2({k})", 2 * k + 1)
+    return _developed(InitialPartition(2 * k + 1, classes), f"construct_2k2({k})", 2 * k + 1)
 
 
 def construct_3k1(k: int) -> PartitionSystem:
@@ -122,10 +117,9 @@ def construct_3k1(k: int) -> PartitionSystem:
         raise ValueError("no rotational construction for k = 3; use the bundled fig-8-3 system")
     if k < 3:
         raise ValueError("construct_3k1 requires k >= 4")
-    layout = CircularLayout(3 * k - 1, has_center=False)
     classes = [(1, 3 * k - 1), (2, k + 1, 3 * k - 2)]
     classes += [(i, 2 * k + 2 - i, 3 * k - i) for i in range(3, k + 1)]
-    return _developed(InitialPartition(layout, classes), f"construct_3k1({k})", 3 * k - 1)
+    return _developed(InitialPartition(3 * k - 1, classes), f"construct_3k1({k})", 3 * k - 1)
 
 
 def _require_sperner(base: PartitionSystem) -> None:

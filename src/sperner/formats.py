@@ -8,8 +8,8 @@ Two interchangeable representations:
   comments; ``# name: X`` sets the system name.  With ``base=1`` labels
   1..n are shifted down by one; the token ``inf`` always denotes the
   final internal element n-1.  That is the center point of the
-  rotational layouts, which rotation.CircularLayout labels m+1 = n under
-  base=1, so ``inf`` and ``n`` name the same element there.
+  rotational layouts, which rotation.InitialPartition labels m+1 = n
+  under base=1, so ``inf`` and ``n`` name the same element there.
 
 * JSON: a versioned object with explicit ``n``, ``k``, ``name``,
   0-based ``partitions`` and a free-form ``metadata`` map.
@@ -151,7 +151,6 @@ def _parse_json(text: str) -> PartitionSystem:
         if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
             raise ParseError(f"partition {idx} must be a list of element lists")
         rows = [[_check_int(e, idx) for e in c] for c in classes]
-        _check_range(n, k, rows)
         partitions.append(_build_partition(n, k, rows))
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
@@ -165,27 +164,10 @@ def _check_int(e, idx: int) -> int:
     return e
 
 
-def _check_range(n: int, k: int, classes: list[list[int]]) -> None:
-    # The JSON path's range check: refuse the first element outside
-    # 0..n-1 unless _build_partition would stop earlier in its walk.
-    if len(classes) != k:
-        return
-    seen: set[int] = set()
-    for c in classes:
-        if not c:
-            return
-        for e in c:
-            if not 0 <= e < n:
-                raise ParseError(f"element {e} outside 0..{n - 1}")
-            if e in seen:
-                return
-            seen.add(e)
-
-
 def _build_partition(n: int, k: int, classes: list[list[int]], line: int | None = None) -> Partition:
-    # Elements are in 0..n-1 already: the text reader checks each label as
-    # it reads it and the JSON reader calls _check_range.  One walk builds
-    # each class mask and finds a repeated element by its bit.  The
+    # One walk refuses an element outside 0..n-1 (the text reader has
+    # refused one already, with its column; JSON rows come unchecked),
+    # builds each class mask and finds a repeated element by its bit.  The
     # elements are then distinct, so they cover 0..n-1 iff there are n of
     # them: no n-bit mask is built, as a header's n can be huge.
     if len(classes) != k:
@@ -197,6 +179,8 @@ def _build_partition(n: int, k: int, classes: list[list[int]], line: int | None 
             raise ParseError("empty class", line)
         before = seen
         for e in c:
+            if not 0 <= e < n:
+                raise ParseError(f"element {e} outside 0..{n - 1}", line)
             bit = 1 << e
             if seen & bit:
                 raise ParseError(f"element {e} appears more than once", line)

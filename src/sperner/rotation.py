@@ -1,12 +1,14 @@
-"""Circle layouts, rotational development and the difference property.
+"""Initial partitions on a circle, rotational development and the difference property.
 
 The rotational constructions draw one initial partition as edges and
 triangles on m points placed around a circle (labeled 1..m), optionally
-with one extra point at the circle's center, CircularLayout.center = m+1
-(point x is mask element x-1, so the center is the element m that the
-text format's ``inf`` names).  Rotating the circle labels m times while
-the center stays fixed ("developing") turns the initial partition into a
-system of m partitions: model.orbit under the one run (0, m).
+with one extra point at the circle's center, labeled m+1.  An
+InitialPartition holds m and the classes; it has a center exactly when a
+class holds m+1 (point x is mask element x-1, so the center is the
+element m that the text format's ``inf`` names).  Rotating the circle
+labels m times while the center stays fixed ("developing") turns the
+initial partition into a system of m partitions: model.orbit under the
+one run (0, m).
 
 Whether the developed system is Sperner can be decided locally from the
 initial partition.  The distance between two circle points is measured
@@ -39,7 +41,6 @@ from typing import NamedTuple
 from .model import Partition, PartitionSystem, _turn, containments, mask_of, orbit
 
 __all__ = [
-    "CircularLayout",
     "InitialPartition",
     "DifferenceCheck",
     "develop",
@@ -48,80 +49,52 @@ __all__ = [
 ]
 
 
-class _LayoutFields(NamedTuple):
-    m: int
-    has_center: bool = False
-
-
-class CircularLayout(_LayoutFields):
-    """m circle points labeled 1..m, plus an optional center point labeled m+1."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if type(self.m) is not int or self.m < 3:  # refuses True and 5.0
-            raise ValueError(f"a circular layout needs at least 3 points, an int, not {self.m!r}")
-        if type(self.has_center) is not bool:  # refuses "no", 1 and None
-            raise ValueError(f"has_center must be True or False, not {self.has_center!r}")
-        return self
-
-    @property
-    def ground_size(self) -> int:
-        return self.m + 1 if self.has_center else self.m
-
-    @property
-    def center(self) -> int:
-        """The center's label, m+1; a layout point only when has_center."""
-        return self.m + 1
-
-    def points(self) -> tuple[int, ...]:
-        return tuple(range(1, self.ground_size + 1))
-
-    def _check_point(self, x) -> None:
-        if not (type(x) is int and 1 <= x <= self.ground_size):  # refuses True and 1.0
-            if self.has_center:
-                where = f"and the center layout.center = {self.center}"
-            else:
-                where = "and the layout has no center point"
-            raise ValueError(f"point {x!r} is not a layout point; the circle is 1..{self.m} {where}")
-
-
 class InitialPartition:
-    """A partition of a circular layout's points, the seed of develop().
+    """A partition of m circle points, labeled 1..m, and maybe the center; the seed of develop().
 
-    Classes are given as nonempty iterables of point labels (1..m,
-    layout.center for the center).
+    Classes are given as nonempty iterables of labels.  The center is the
+    label m+1 and belongs to the layout exactly when some class holds it,
+    so the classes cover either 1..m or 1..m+1.
     """
 
-    __slots__ = ("layout", "classes")
+    __slots__ = ("m", "classes")
 
-    def __init__(self, layout: CircularLayout, classes):
+    def __init__(self, m: int, classes):
+        if type(m) is not int or m < 3:  # refuses True and 5.0
+            raise ValueError(f"an initial partition needs a circle of at least 3 points, an int, not {m!r}")
         classes = [tuple(c) for c in classes]
         if () in classes:
             raise ValueError(f"class {classes.index(())} is empty")
         for c in classes:
             for x in c:
-                layout._check_point(x)
+                if not (type(x) is int and 1 <= x <= m + 1):  # refuses True and 1.0
+                    raise ValueError(
+                        f"point {x!r} is not a layout point; the circle is 1..{m} and the center is {m + 1}"
+                    )
         normalized = tuple(tuple(sorted(c)) for c in classes)
         covered = sorted(x for c in normalized for x in c)
-        if covered != list(layout.points()):
-            raise ValueError("classes must cover every layout point exactly once")
-        self.layout = layout
+        if covered not in (list(range(1, m + 1)), list(range(1, m + 2))):
+            raise ValueError(f"classes must cover 1..{m}, or 1..{m + 1} with the center, exactly once")
+        self.m = m
         self.classes = normalized
+
+    @property
+    def has_center(self) -> bool:
+        """Whether a class holds the center m+1: the classes cover m points, or m+1."""
+        return sum(map(len, self.classes)) > self.m
 
     def to_partition(self) -> Partition:
         """Point x becomes element x-1."""
-        return Partition(self.layout.ground_size, [mask_of(x - 1 for x in c) for c in self.classes])
+        return Partition(self.m + self.has_center, [mask_of(x - 1 for x in c) for c in self.classes])
 
     def __repr__(self):
         body = ", ".join("{" + ",".join(str(x) for x in c) + "}" for c in self.classes)
-        return f"<InitialPartition m={self.layout.m} center={self.layout.has_center} {body}>"
+        return f"<InitialPartition m={self.m} center={self.has_center} {body}>"
 
 
 def develop(init: InitialPartition, name: str | None = None) -> PartitionSystem:
     """Rotate the initial partition m times; rotation 0 is the initial partition itself."""
-    return orbit(init.to_partition(), [(0, init.layout.m)], name)
+    return orbit(init.to_partition(), [(0, init.m)], name)
 
 
 class DifferenceCheck(NamedTuple):
@@ -141,7 +114,7 @@ def check_difference_property(init: InitialPartition) -> DifferenceCheck:
     if any(not 2 <= len(c) <= 4 for c in init.classes):
         raise ValueError("unsupported initial shape")
 
-    m, center = init.layout.m, init.layout.center
+    m, center = init.m, init.m + 1
     problems = []
 
     def distances(c):  # short way round, pairs with the center skipped
@@ -256,7 +229,7 @@ def solve_initial_2k1(k: int) -> InitialPartition:
         (e,) = free - {t, (t + h) % m, (t + k) % m}
         classes = [(1, 1 + h, 1 + k), ((e - t) % m + 1, m + 1)]
         classes += [((x - t) % m + 1, (y - t) % m + 1) for x, y in edges]
-    init = InitialPartition(CircularLayout(m, has_center=True), classes)
+    init = InitialPartition(m, classes)
     check = check_difference_property(init)
     if not check.ok:
         raise RuntimeError(

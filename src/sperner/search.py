@@ -44,7 +44,7 @@ loses no maximum.
 from __future__ import annotations
 
 import time
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from math import comb, isnan
 from typing import NamedTuple
 
@@ -294,6 +294,30 @@ def _orbit_key(fixed: tuple[int, ...], classes: tuple[int, ...]) -> tuple[tuple[
     return tuple(sorted(tuple((r & c).bit_count() for r in fixed) for c in classes))
 
 
+def _is_candidate_set(cand: PartitionSystem | None) -> bool:
+    """Whether cand is enumerate_partitions(n, k, m), m its smallest class size, in any order.
+
+    Only such a set is closed under relabeling the ground set, which the
+    reduced search relies on.  The distinct k-partitions of {0..n-1} with
+    classes of at least m elements number candidate_count(n, k, m), so
+    that many distinct ones are all of them.
+    """
+    if cand is None or not cand.partitions:
+        return False
+    n, k = cand.n, cand.k
+    rows = [p.classes for p in cand.partitions]
+    # Each row is k class masks summing to the full mask.  A sum loses set
+    # bits only to carries, so each row's class sizes total at least n, and
+    # n exactly when no two of its classes meet.  The sizes over all rows
+    # then total n per row only if every row is a k-partition.
+    if set(map(len, rows)) != {k} or set(map(sum, rows)) != {(1 << n) - 1}:
+        return False
+    if sum(map(int.bit_count, chain.from_iterable(rows))) != n * len(rows):
+        return False
+    m = min(row[0].bit_count() for row in rows)  # canonical order: smallest class first
+    return m >= 1 and len(rows) == candidate_count(n, k, m) and len(set(rows)) == len(rows)
+
+
 class _Stop(Exception):
     def __init__(self, proven: bool):
         self.proven = proven
@@ -318,8 +342,9 @@ def max_clique(
     The root coloring that gives the bound also orders the root.  The plain
     search branches on it as on any other node, highest color first;
     symmetry_reduction instead groups it, which needs the graph's full
-    candidate set, closed under relabeling the ground set, and prunes at
-    two levels:
+    candidate set, closed under relabeling the ground set (any other
+    candidate system raises ValueError, see _is_candidate_set), and prunes
+    at two levels:
 
     * Root: branch only on the first candidate of each class-size shape,
       then drop that whole shape from the later roots.  Shapes are the
@@ -408,8 +433,11 @@ def max_clique(
     try:
         if not num:
             raise _Stop(True)  # the empty graph: size 0, proven, no nodes
-        if symmetry_reduction and cand is None:
-            raise ValueError("symmetry reduction needs the graph's candidate set")
+        if symmetry_reduction and not _is_candidate_set(cand):
+            raise ValueError(
+                "symmetry reduction needs the graph's full candidate set: every k-partition "
+                "of the ground set whose classes are no smaller than its smallest class"
+            )
         full = (1 << num) - 1
         root_coloring = _color(full, adj)
         root_bound = root_coloring[1][-1]

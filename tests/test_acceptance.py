@@ -32,7 +32,7 @@ from sperner import (
     sp_bounds,
     verify_sperner,
 )
-from sperner.rotation import CircularLayout, InitialPartition, develop
+from sperner.rotation import InitialPartition, develop
 from sperner.search import graph_from_edges, tiny_oracle
 
 
@@ -167,15 +167,13 @@ def test_criterion_10a_relabel_invariance():
 def test_criterion_10b_difference_property_implies_valid_development():
     initials = [solve_initial_2k1(k) for k in range(6, 31, 2)]
     for k in range(3, 31):
-        layout = CircularLayout(2 * k + 1, has_center=True)
-        classes = [(1, 2, layout.center), (k + 1, k + 2, k + 3)]
+        classes = [(1, 2, 2 * k + 2), (k + 1, k + 2, k + 3)]
         classes += [(i, 2 * k + 4 - i) for i in range(3, k + 1)]
-        initials.append(InitialPartition(layout, classes))
+        initials.append(InitialPartition(2 * k + 1, classes))
     for k in range(4, 31):
-        layout = CircularLayout(3 * k - 1)
         classes = [(1, 3 * k - 1), (2, k + 1, 3 * k - 2)]
         classes += [(i, 2 * k + 2 - i, 3 * k - i) for i in range(3, k + 1)]
-        initials.append(InitialPartition(layout, classes))
+        initials.append(InitialPartition(3 * k - 1, classes))
     for init in initials:
         assert check_difference_property(init).ok
         assert verify_sperner(develop(init)).valid

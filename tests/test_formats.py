@@ -304,7 +304,6 @@ def json_documents(draw):
 def test_json_reader_matches_reference(text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_build_partition", reference_build_partition)
-        mp.setattr(formats, "_check_range", lambda n, k, classes: None)
         expected = outcome(parse, text)
     assert outcome(parse, text) == expected
 

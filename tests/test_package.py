@@ -9,9 +9,9 @@ import pytest
 import sperner
 from sperner import (
     BoundResult,
-    CircularLayout,
     CompatibilityGraph,
     DifferenceCheck,
+    InitialPartition,
     Partition,
     PartitionSystem,
     SearchOutcome,
@@ -23,7 +23,6 @@ from sperner.search import graph_from_edges
 # every public name -> the submodule that defines it
 PUBLIC = {
     "BoundResult": "bounds",
-    "CircularLayout": "rotation",
     "CompatibilityGraph": "search",
     "DifferenceCheck": "rotation",
     "FORMAT_VERSION": "formats",
@@ -72,7 +71,7 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 45
     assert sorted(sperner.__all__) == sorted(PUBLIC)
 
 
@@ -123,7 +122,6 @@ RECORDS = {
         lambda: (7, 3, 5, 5, (("r", "d"),), (("s", "e"),)),
     ),
     SpernerReport: (("valid", "violations", "wellformed_errors"), lambda: (True, (), ())),
-    CircularLayout: (("m", "has_center"), lambda: (5, True)),
     DifferenceCheck: (("ok", "problems"), lambda: (False, ("edge difference 1",))),
     CompatibilityGraph: (("adj", "candidates"), lambda: ((0,), _system())),
     SearchOutcome: (
@@ -167,7 +165,6 @@ def test_record_equality_hash_and_repr(record):
 
 
 def test_record_defaults():
-    assert CircularLayout(5).has_center is False
     assert CompatibilityGraph((0,)).candidates is None
     # the vertex count is read off the rows, so the two cannot disagree
     assert CompatibilityGraph((0, 0, 0)).num_vertices == 3
@@ -176,7 +173,7 @@ def test_record_defaults():
 
 def test_records_keep_their_validation():
     with pytest.raises(ValueError, match="at least 3 points"):
-        CircularLayout(2)
+        InitialPartition(2, [(1, 2)])
 
 
 def test_candidate_set_length_and_difference_check_truth():
@@ -190,3 +187,14 @@ def test_package_source_has_no_dataclasses():
     src = Path(sperner.__file__).parent
     for path in src.glob("*.py"):
         assert "dataclass" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_readme_quickstart_runs(capsys):
+    # the README's "Library quickstart" block, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert "lower=11, upper=27" in printed[0]
+    assert printed[1] == "5 True"

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sperner import (
-    CircularLayout,
     InitialPartition,
     check_difference_property,
     develop,
@@ -16,26 +15,23 @@ from sperner.model import _turn, elements_of, mask_of
 
 
 def fig2_initial():
-    layout = CircularLayout(16, has_center=True)
-    return InitialPartition(
-        layout, [(1, 5, 9), (8, 11), (7, 12), (6, 13), (2, 16), (4, 10), (3, layout.center), (14, 15)]
-    )
+    return InitialPartition(16, [(1, 5, 9), (8, 11), (7, 12), (6, 13), (2, 16), (4, 10), (3, 17), (14, 15)])
 
 
 def test_initial_partition_checks_every_label():
     # 1.0 == 1 would pass the cover check; every label must be a layout point
     with pytest.raises(ValueError, match="1.0 is not a layout point"):
-        InitialPartition(CircularLayout(6), [(1.0,), (2, 3), (4, 5, 6)])
+        InitialPartition(6, [(1.0,), (2, 3), (4, 5, 6)])
     with pytest.raises(ValueError, match="True is not a layout point"):
-        InitialPartition(CircularLayout(3), [(True, 2, 3)])
+        InitialPartition(3, [(True, 2, 3)])
     with pytest.raises(ValueError, match="'a' is not a layout point"):
-        InitialPartition(CircularLayout(3), [(3, "a"), (1, 2)])
-    with pytest.raises(ValueError, match="layout has no center"):
-        InitialPartition(CircularLayout(6), [(1, 2, 7), (3, 4), (5, 6)])
-    layout = CircularLayout(8, has_center=True)
-    with pytest.raises(ValueError, match="layout.center = 9"):
-        InitialPartition(layout, [(1, 2), (3, 4), (5, 6), (7, 8, float("inf"))])
-    init = InitialPartition(layout, [(1, 2), (3, 4), (5, 6), (7, 8, layout.center)])
+        InitialPartition(3, [(3, "a"), (1, 2)])
+    # 7 is the 6-circle's center; 8 is past it
+    with pytest.raises(ValueError, match="8 is not a layout point.*the center is 7"):
+        InitialPartition(6, [(1, 2, 8), (3, 4), (5, 6)])
+    with pytest.raises(ValueError, match="the center is 9"):
+        InitialPartition(8, [(1, 2), (3, 4), (5, 6), (7, 8, float("inf"))])
+    init = InitialPartition(8, [(1, 2), (3, 4), (5, 6), (7, 8, 9)])
     assert init.to_partition().classes[-1] == 0b111000000
 
 
@@ -43,27 +39,28 @@ def test_initial_partition_refuses_an_empty_class():
     # it would cover the circle, develop to a malformed system and fail
     # the difference check only as an unsupported shape
     with pytest.raises(ValueError, match="class 0 is empty"):
-        InitialPartition(CircularLayout(5), [(), (1, 2), (3, 4, 5)])
+        InitialPartition(5, [(), (1, 2), (3, 4, 5)])
 
 
-def test_circular_layout_refuses_a_non_int_size():
+def test_initial_partition_refuses_a_non_int_size():
     with pytest.raises(ValueError, match="5.0"):
-        CircularLayout(5.0)
+        InitialPartition(5.0, [(1, 2), (3, 4, 5)])
     with pytest.raises(ValueError, match="True"):
-        CircularLayout(True, has_center=True)
-
-
-@pytest.mark.parametrize("flag", ["no", 1, None])
-def test_circular_layout_refuses_a_non_bool_center(flag):
-    # "no" is truthy: it used to give a layout with a center and ground size 6
-    with pytest.raises(ValueError, match="has_center"):
-        CircularLayout(5, has_center=flag)
+        InitialPartition(True, [(1, 2)])
 
 
 def test_initial_partition_must_cover():
-    layout = CircularLayout(6)
     with pytest.raises(ValueError, match="cover"):
-        InitialPartition(layout, [(1, 2), (3, 4)])
+        InitialPartition(6, [(1, 2), (3, 4)])
+    # the center alone does not stand in for a circle point
+    with pytest.raises(ValueError, match="cover"):
+        InitialPartition(6, [(1, 2), (3, 4), (5, 7)])
+
+
+def test_initial_partition_reads_the_center_off_the_labels():
+    assert not InitialPartition(6, [(1, 2), (3, 4, 5, 6)]).has_center
+    init = InitialPartition(6, [(1, 2, 7), (3, 4), (5, 6)])
+    assert init.has_center and init.to_partition().n == 7
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,8 +86,7 @@ def test_develop_fig2_equals_bundled_17_8():
 
 
 def test_develop_rotated_seed_gives_same_system():
-    layout = CircularLayout(11)
-    init = InitialPartition(layout, [(1, 2), (3, 6, 11), (4, 8, 10), (5, 7, 9)])
+    init = InitialPartition(11, [(1, 2), (3, 6, 11), (4, 8, 10), (5, 7, 9)])
     system = develop(init)
     assert system == load_fixture("fig-11-4").with_name(None)
 
@@ -100,7 +96,7 @@ def test_develop_count_and_wellformedness():
     system = develop(init)
     report = verify_sperner(system)
     assert report.valid
-    assert len(system) == init.layout.m
+    assert len(system) == init.m
 
 
 def test_develop_commutes_with_circle_rotation():
@@ -109,7 +105,7 @@ def test_develop_commutes_with_circle_rotation():
 
     init = fig2_initial()
     system = develop(init)
-    m = init.layout.m
+    m = init.m
     perm = [(e + 1) % m for e in range(m)] + [m]  # center stays fixed
     assert relabel(system, perm) == system
 
@@ -119,53 +115,45 @@ def test_difference_property_fig2():
 
 
 def test_difference_property_duplicate_edge():
-    layout = CircularLayout(8, has_center=True)
-    init = InitialPartition(layout, [(1, 2), (5, 6), (3, 8), (4, 7, layout.center)])
+    init = InitialPartition(8, [(1, 2), (5, 6), (3, 8), (4, 7, 9)])
     check = check_difference_property(init)
     assert not check.ok
     assert any("edge difference 1" in p for p in check.problems)
 
 
 def test_difference_property_2k2_seed():
-    layout = CircularLayout(9, has_center=True)
-    init = InitialPartition(layout, [(1, 2, layout.center), (3, 9), (4, 8), (5, 6, 7)])
+    init = InitialPartition(9, [(1, 2, 10), (3, 9), (4, 8), (5, 6, 7)])
     assert check_difference_property(init).ok
 
 
 def test_difference_property_diameter_edge():
     # {1, 5} realizes the diameter on an 8-circle and repeats after 4 rotations
-    layout = CircularLayout(8, has_center=True)
-    init = InitialPartition(layout, [(1, 5), (2, 3), (4, 6, 8), (7, layout.center)])
+    init = InitialPartition(8, [(1, 5), (2, 3), (4, 6, 8), (7, 9)])
     check = check_difference_property(init)
     assert not check.ok
     assert any("diameter" in p for p in check.problems)
 
 
 def test_difference_property_edge_inside_triangle():
-    layout = CircularLayout(9)
     # edge {2,3} has difference 1; triangle {5,6,8} realizes 1 as well
-    init = InitialPartition(layout, [(2, 3), (1, 4), (7, 9), (5, 6, 8)])
+    init = InitialPartition(9, [(2, 3), (1, 4), (7, 9), (5, 6, 8)])
     check = check_difference_property(init)
     assert not check.ok
     assert any("edge difference 1" in p and "occurs inside" in p for p in check.problems)
 
 
 def test_difference_property_unsupported_shape():
-    layout = CircularLayout(10)
-    init = InitialPartition(layout, [(1, 2, 3, 4, 5), (6, 7), (8, 9, 10)])
+    init = InitialPartition(10, [(1, 2, 3, 4, 5), (6, 7), (8, 9, 10)])
     with pytest.raises(ValueError, match="unsupported initial shape"):
         check_difference_property(init)
-    singleton = InitialPartition(layout, [(1,), (2, 3, 4, 5), (6, 7), (8, 9, 10)])
+    singleton = InitialPartition(10, [(1,), (2, 3, 4, 5), (6, 7), (8, 9, 10)])
     with pytest.raises(ValueError, match="unsupported initial shape"):
         check_difference_property(singleton)
 
 
 def test_difference_property_colliding_triangle_orbits():
     # two triangles with the same circular gap sequence collide under rotation
-    layout = CircularLayout(12)
-    init = InitialPartition(
-        layout, [(1, 2, 6), (4, 5, 9), (3, 10), (7, 12), (8, 11)]
-    )
+    init = InitialPartition(12, [(1, 2, 6), (4, 5, 9), (3, 10), (7, 12), (8, 11)])
     check = check_difference_property(init)
     assert not check.ok
     assert any("collide" in p for p in check.problems)
@@ -195,11 +183,10 @@ def test_solve_initial_rejections():
 def test_no_initial_partition_for_k4():
     # every initial partition of the 8-circle with center into one triple
     # and three pairs, the center anywhere
-    layout = CircularLayout(8, has_center=True)
     candidates = enumerate_partitions(9, 4, min_class_size=2)
     assert len(candidates) == 1260
     for p in candidates.partitions:
-        init = InitialPartition(layout, [[x + 1 for x in c] for c in p.class_sets])
+        init = InitialPartition(8, [[x + 1 for x in c] for c in p.class_sets])
         assert not check_difference_property(init).ok
         assert not verify_sperner(develop(init)).valid
 
@@ -213,8 +200,8 @@ def test_solve_initial_deterministic():
 @st.composite
 def initial_partitions(draw):
     """Classes of sizes 2..4 covering a circle of 5..14 points, with or without center."""
-    layout = CircularLayout(draw(st.integers(5, 14)), has_center=draw(st.booleans()))
-    points = draw(st.permutations(layout.points()))
+    m = draw(st.integers(5, 14))
+    points = draw(st.permutations(range(1, m + 1 + draw(st.booleans()))))
     classes = []
     while points:
         # never leave a single point, which could not form a class
@@ -222,7 +209,7 @@ def initial_partitions(draw):
         size = draw(st.sampled_from(fits))
         classes.append(points[:size])
         points = points[size:]
-    return InitialPartition(layout, classes)
+    return InitialPartition(m, classes)
 
 
 @settings(max_examples=500, deadline=None)

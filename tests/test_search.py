@@ -20,7 +20,7 @@ from sperner import (
     sp_bounds,
     verify_sperner,
 )
-from sperner.model import Partition
+from sperner.model import Partition, PartitionSystem
 from sperner.search import (
     _color,
     _greedy_clique,
@@ -400,6 +400,26 @@ class TestMaxClique:
     def test_symmetry_reduction_needs_candidates(self):
         with pytest.raises(ValueError, match="candidate set"):
             max_clique(graph_from_edges(3, [(0, 1)]), symmetry_reduction=True)
+
+    def test_symmetry_reduction_refuses_a_sampled_subset(self):
+        # 150 of the 490 (8,3) candidates are not closed under relabeling:
+        # the reduced search used to return 7 as proven on 14 of these 30
+        # samples, where the plain search finds 8
+        full = enumerate_partitions(8, 3, 2)
+        rng = random.Random(1)
+        for _ in range(30):
+            graph = build_graph(PartitionSystem(8, 3, rng.sample(full.partitions, 150)))
+            with pytest.raises(ValueError, match="candidate set"):
+                max_clique(graph, symmetry_reduction=True)
+
+    def test_symmetry_reduction_refuses_a_duplicate(self):
+        # the full (7,3) set with its last candidate replaced by a copy of its first
+        full = enumerate_partitions(7, 3, 2).partitions
+        with pytest.raises(ValueError, match="candidate set"):
+            max_clique(build_graph(PartitionSystem(7, 3, [*full[:-1], full[0]])), symmetry_reduction=True)
+        # the full set in any order is accepted
+        graph = build_graph(PartitionSystem(7, 3, full[::-1]))
+        assert max_clique(graph, symmetry_reduction=True).size == max_clique(graph).size == 5
 
     def test_stops_at_root_bound(self):
         # the greedy seed already meets the root coloring bound of 9
