@@ -260,9 +260,9 @@ def bounds_table(k: int, max_n: int) -> list[tuple[int, int, int]]:
     Every lower value comes from one pass of the dynamic program up to
     max_n, so the table costs what its last row does.
     """
+    _check_positive(k, k)  # k < 1 raises here, as at sp_bounds' first row
     if max_n < k:
         return []
-    _check_positive(k, k)  # k < 1 raises here, as at sp_bounds' first row
     steps = _steps(max_n, k)
     rows = []
     for n in range(k, max_n + 1):

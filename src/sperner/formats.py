@@ -12,7 +12,8 @@ Two interchangeable representations:
   under base=1, so ``inf`` and ``n`` name the same element there.
 
 * JSON: a versioned object with explicit ``n``, ``k``, ``name``,
-  0-based ``partitions`` and a free-form ``metadata`` map.
+  0-based ``partitions`` and a ``metadata`` map, written empty and
+  ignored when read.
 
 Serialization canonicalizes: classes sorted by (size, smallest element),
 partitions sorted likewise, so parse(serialize(s)) == s in canonical form
@@ -49,7 +50,7 @@ class ParseError(Exception):
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-def serialize(system: PartitionSystem, fmt: str = "text", metadata: dict | None = None) -> str:
+def serialize(system: PartitionSystem, fmt: str = "text") -> str:
     """Render a system as a text or JSON document (labels 0-based).
 
     Partitions come out sorted by their tuples of class element tuples,
@@ -105,7 +106,7 @@ def serialize(system: PartitionSystem, fmt: str = "text", metadata: dict | None 
         "k": system.k,
         "name": system.name,
         "partitions": rows,
-        "metadata": metadata or {},
+        "metadata": {},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

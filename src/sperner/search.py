@@ -27,18 +27,21 @@ search branches on like any node and the reduced path groups by shape.
 Every new incumbent, the greedy seed first, meets one stop rule: a met
 target stops the search unproven, the root bound stops it proven.
 
-solve_sp also uses the symmetry of the problem.  The candidate set holds
-every k-partition with the allowed class sizes, so it is closed under
-relabeling the ground set, and a relabeled clique is again a clique.  If
-the vertices fall into groups that such relabelings permute, any clique
-meeting a group can be moved to contain the group's first member.  The
-search therefore branches on one representative per group and then drops
-the group, at two levels: the class-size shapes at the root (orbits of
-S_n), and under a root R the orbits of the relabelings that permute
-elements inside each class of R (see _orbit_key).  Groups are visited one
-after another and each is dropped once searched; since every group is
-invariant, the moved clique avoids the dropped groups too, so the pruning
-loses no maximum.
+A graph that carries its full candidate set also gets the symmetry of
+the problem.  Every k-partition with the allowed class sizes is there, so
+the set is closed under relabeling the ground set, and a relabeled clique
+is again a clique.  If the vertices fall into groups that such
+relabelings permute, any clique meeting a group can be moved to contain
+the group's first member.  The search therefore branches on one
+representative per group and then drops the group, at two levels: the
+orbits of S_n at the root, and under a root R the orbits of the
+relabelings that permute elements inside each class of R.  One key,
+_orbit_key, names both (the root's fixed partition is the one class of
+the whole ground set).  Groups are visited one after another and each is
+dropped once searched; since every group is invariant, the moved clique
+avoids the dropped groups too, so the pruning loses no maximum.  Any
+other graph gets the plain search, and CompatibilityGraph(graph.adj)
+runs it on a candidate graph.
 """
 
 from __future__ import annotations
@@ -291,7 +294,7 @@ def _orbit_key(fixed: tuple[int, ...], classes: tuple[int, ...]) -> tuple[tuple[
     of columns (|R_i & Q_j|)_i over Q's classes j.  Two partitions get the
     same key iff a permutation inside each R_i maps one onto the other.
     """
-    return tuple(sorted(tuple((r & c).bit_count() for r in fixed) for c in classes))
+    return tuple(sorted([tuple([(r & c).bit_count() for r in fixed]) for c in classes]))
 
 
 def _is_candidate_set(cand: PartitionSystem | None) -> bool:
@@ -339,12 +342,10 @@ def max_clique(
     the clock is polled once after the seed, then every 2048 nodes and,
     on the reduced path, every 256 grouped vertices.
 
-    The root coloring that gives the bound also orders the root.  The plain
-    search branches on it as on any other node, highest color first;
-    symmetry_reduction instead groups it, which needs the graph's full
-    candidate set, closed under relabeling the ground set (any other
-    candidate system raises ValueError, see _is_candidate_set), and prunes
-    at two levels:
+    The root coloring that gives the bound also orders the root.  The graph
+    picks the path.  A graph whose candidates are a full candidate set,
+    closed under relabeling the ground set (see _is_candidate_set), gets
+    the reduced search, which groups the root and prunes at two levels:
 
     * Root: branch only on the first candidate of each class-size shape,
       then drop that whole shape from the later roots.  Shapes are the
@@ -360,8 +361,10 @@ def max_clique(
     highest greedy color among their members, so once size plus that color
     cannot beat the incumbent, no later group can either.
 
-    It is off by default here so the plain search stays available as a
-    cross-check; solve_sp turns it on.
+    Any other graph gets the plain search, which branches on the root
+    coloring as on any other node, highest color first.  To run it on a
+    candidate graph, as a cross-check, pass CompatibilityGraph(graph.adj).
+    symmetry_reduction is ignored; it stays for callers that still pass it.
     """
     t0 = time.perf_counter()
     num = graph.num_vertices
@@ -400,22 +403,23 @@ def max_clique(
                 expand(size + 1, extended, P2)
             P &= ~bit
 
-    def branch_orbits(size: int, clique: int, P: int, coloring, key, descend) -> None:
-        """Group P by key; branch on each group's first vertex, then drop the group.
+    def grouped(size: int, clique: int, P: int, coloring, fixed: tuple[int, ...]) -> None:
+        """Group P by _orbit_key(fixed, ...); branch on each group's first vertex, then drop the group.
 
         coloring is _color(P, adj).  Groups go in descending order of their
         highest greedy color, so the color bound prunes the rest as in
-        expand.  descend(size, clique, P) searches below each representative.
-        Only the root (size 0) and depth 2 (size 1) group, and neither can
-        improve the incumbent: with an edge in the graph the greedy seed's
-        first try starts at a vertex of largest degree and always completes,
-        so it holds at least 2 vertices; without one the root bound is 1 and
-        the seed has stopped the search.
+        expand.  The root (size 0) fixes the one class of the ground set and
+        groups each representative's neighbours under its own classes; depth
+        2 (size 1) expands.  Neither level can improve the incumbent: with an
+        edge in the graph the greedy seed's first try starts at a vertex of
+        largest degree and always completes, so it holds at least 2
+        vertices; without one the root bound is 1 and the seed has stopped
+        the search.
         """
         groups: dict = {}
         top: dict = {}
         for seen, (v, color) in enumerate(zip(*coloring), 1):
-            g = key(v)
+            g = _orbit_key(fixed, classes[v])
             groups[g] = groups.get(g, 0) | (1 << v)
             top[g] = color
             if deadline is not None and seen % 256 == 0 and time.perf_counter() > deadline:
@@ -425,19 +429,18 @@ def max_clique(
                 return
             group = groups[g]
             bit = group & -group
-            P2 = P & adj[bit.bit_length() - 1]
+            v = bit.bit_length() - 1
+            P2 = P & adj[v]
             if size + 1 + P2.bit_count() > best:
-                descend(size + 1, clique | bit, P2)
+                if size:
+                    expand(size + 1, clique | bit, P2)
+                else:
+                    grouped(1, bit, P2, _color(P2, adj), classes[v])
             P &= ~group
 
     try:
         if not num:
             raise _Stop(True)  # the empty graph: size 0, proven, no nodes
-        if symmetry_reduction and not _is_candidate_set(cand):
-            raise ValueError(
-                "symmetry reduction needs the graph's full candidate set: every k-partition "
-                "of the ground set whose classes are no smaller than its smallest class"
-            )
         full = (1 << num) - 1
         root_coloring = _color(full, adj)
         root_bound = root_coloring[1][-1]
@@ -446,17 +449,9 @@ def max_clique(
         improve(seed.bit_count(), seed)
         if deadline is not None and time.perf_counter() > deadline:
             raise _Stop(False)
-        if symmetry_reduction:
+        if _is_candidate_set(cand):
             classes = [p.classes for p in cand.partitions]
-            sizes = [p.sizes for p in cand.partitions]
-
-            def depth2(size: int, clique: int, P: int) -> None:
-                fixed = classes[clique.bit_length() - 1]  # clique is the root alone
-                branch_orbits(
-                    size, clique, P, _color(P, adj), lambda v: _orbit_key(fixed, classes[v]), expand
-                )
-
-            branch_orbits(0, 0, full, root_coloring, sizes.__getitem__, depth2)
+            grouped(0, 0, full, root_coloring, ((1 << cand.n) - 1,))
         else:
             expand(0, 0, full, root_coloring)
         proven = True
@@ -524,8 +519,9 @@ def solve_sp(
 ) -> SearchOutcome:
     """Enumerate candidates, build the graph, run max_clique, verify the witness.
 
-    The clique search always takes the symmetry-reduced path; call
-    max_clique directly for the plain one.  A search whose adjacency would
+    The graph carries the full candidate set, so max_clique takes the
+    symmetry-reduced path; max_clique(CompatibilityGraph(graph.adj)) is the
+    plain one.  A search whose adjacency would
     exceed MAX_ADJ_BYTES, or a NaN time_budget (no deadline would ever
     pass), raises ValueError before anything is enumerated.
     """
@@ -540,7 +536,7 @@ def solve_sp(
         )
     candidates = enumerate_partitions(n, k, min_class_size)
     graph = build_graph(candidates)
-    outcome = max_clique(graph, time_budget=time_budget, target=target, symmetry_reduction=True)
+    outcome = max_clique(graph, time_budget=time_budget, target=target)
     assert outcome.best is not None
     report = verify_sperner(outcome.best)
     if not report.valid:

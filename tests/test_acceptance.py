@@ -12,6 +12,7 @@ import time
 from math import comb
 
 from sperner import (
+    CompatibilityGraph,
     build_graph,
     check_difference_property,
     construct_2k1,
@@ -181,11 +182,10 @@ def test_criterion_10b_difference_property_implies_valid_development():
 
 
 def test_criterion_10c_clique_solver_matches_oracle():
+    # the candidate graphs without their candidates, so the plain search runs
     graphs = [
-        build_graph(enumerate_partitions(5, 2, 2)),
-        build_graph(enumerate_partitions(6, 3, 2)),
-        build_graph(enumerate_partitions(7, 3, 2)),
-        build_graph(enumerate_partitions(4, 2, 1)),
+        CompatibilityGraph(build_graph(enumerate_partitions(n, k, m)).adj)
+        for n, k, m in [(5, 2, 2), (6, 3, 2), (7, 3, 2), (4, 2, 1)]
     ]
     rng = random.Random(97)
     for num, p in [(20, 0.4), (30, 0.6), (40, 0.5), (50, 0.7)]:

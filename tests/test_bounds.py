@@ -61,8 +61,9 @@ def test_non_positive_n_or_k_is_refused(bound):
     for n, k in [(0, 1), (3, 0), (-2, 3)]:
         with pytest.raises(ValueError, match="n and k must be positive"):
             bound(n, k)
-    with pytest.raises(ValueError, match="n and k must be positive"):
-        bounds_table(0, 4)
+    for k, max_n in [(0, 4), (-3, -5)]:
+        with pytest.raises(ValueError, match="n and k must be positive"):
+            bounds_table(k, max_n)
 
 
 def test_known_exact_table():

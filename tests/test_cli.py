@@ -222,7 +222,11 @@ def test_bounds_table_requires_max_n(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--n", "0", "--k", "3"), ("--k", "0", "--table", "--max-n", "4")],
+    [
+        ("--n", "0", "--k", "3"),
+        ("--k", "0", "--table", "--max-n", "4"),
+        ("--k", "-3", "--table", "--max-n", "-5"),
+    ],
 )
 def test_bounds_non_positive_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "bounds", *argv)

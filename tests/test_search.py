@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import sperner.search
 from sperner import (
+    CompatibilityGraph,
     build_graph,
     candidate_count,
     enumerate_partitions,
@@ -318,6 +319,18 @@ class TestColor:
             assert _color(P, graph.adj, t) == complement_row_color(P, nadj, t)
 
 
+def assert_plain(graph):
+    """max_clique with symmetry_reduction=True, checked against the plain search on the bare rows."""
+    outcome = max_clique(graph, symmetry_reduction=True)
+    plain = max_clique(CompatibilityGraph(graph.adj))
+    assert (outcome.size, outcome.vertices, outcome.nodes_explored) == (
+        plain.size,
+        plain.vertices,
+        plain.nodes_explored,
+    )
+    return outcome
+
+
 class TestMaxClique:
     def test_small_sp_values(self):
         assert max_clique(build_graph(enumerate_partitions(5, 2, 2))).size == 4
@@ -325,7 +338,7 @@ class TestMaxClique:
         assert max_clique(build_graph(enumerate_partitions(7, 3, 2))).size == 5
 
     def test_sp_7_3_agrees_with_oracle(self):
-        graph = build_graph(enumerate_partitions(7, 3, 2))
+        graph = CompatibilityGraph(build_graph(enumerate_partitions(7, 3, 2)).adj)
         outcome = max_clique(graph)
         assert outcome.proven_optimal
         assert outcome.size == tiny_oracle(graph) == 5
@@ -382,7 +395,7 @@ class TestMaxClique:
         row_bytes = sum((a.bit_length() + 7) // 8 for a in graph.adj)
         tracemalloc.start()
         try:
-            outcome = max_clique(graph, target=9, symmetry_reduction=True)
+            outcome = max_clique(graph, target=9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -390,36 +403,45 @@ class TestMaxClique:
         assert peak < row_bytes // 4
 
     def test_symmetry_reduction_matches_default(self):
-        # solve_sp reduces by default; max_clique(graph) is the plain search
+        # solve_sp's graph carries its candidates and is reduced; without them it is not
         for n, k in GRID_8:
             reduced = solve_sp(n, k)
-            plain = max_clique(build_graph(enumerate_partitions(n, k, 2)))
+            plain = max_clique(CompatibilityGraph(build_graph(enumerate_partitions(n, k, 2)).adj))
             assert reduced.proven_optimal and plain.proven_optimal
             assert reduced.size == plain.size, (n, k)
 
-    def test_symmetry_reduction_needs_candidates(self):
-        with pytest.raises(ValueError, match="candidate set"):
-            max_clique(graph_from_edges(3, [(0, 1)]), symmetry_reduction=True)
+    def test_the_graph_picks_the_path(self):
+        graph = build_graph(enumerate_partitions(8, 3, 2))
+        reduced, plain = max_clique(graph), max_clique(CompatibilityGraph(graph.adj))
+        assert (reduced.size, reduced.proven_optimal, reduced.nodes_explored) == (8, True, 117)
+        assert (plain.size, plain.proven_optimal, plain.nodes_explored) == (8, True, 244_317)
 
-    def test_symmetry_reduction_refuses_a_sampled_subset(self):
+    def test_symmetry_reduction_without_candidates_is_plain(self):
+        assert_plain(graph_from_edges(3, [(0, 1)]))
+
+    def test_symmetry_reduction_on_a_sampled_subset_is_plain(self):
         # 150 of the 490 (8,3) candidates are not closed under relabeling:
-        # the reduced search used to return 7 as proven on 14 of these 30
-        # samples, where the plain search finds 8
+        # reduced regardless, the search returned 7 as proven on 14 of the
+        # 17 samples whose maximum is 8
         full = enumerate_partitions(8, 3, 2)
         rng = random.Random(1)
+        sizes = []
         for _ in range(30):
             graph = build_graph(PartitionSystem(8, 3, rng.sample(full.partitions, 150)))
-            with pytest.raises(ValueError, match="candidate set"):
-                max_clique(graph, symmetry_reduction=True)
+            outcome = assert_plain(graph)
+            assert outcome.proven_optimal and outcome.size == tiny_oracle(graph)
+            sizes.append(outcome.size)
+        assert sizes.count(8) == 17 and sizes.count(7) == 13
 
-    def test_symmetry_reduction_refuses_a_duplicate(self):
+    def test_symmetry_reduction_on_a_duplicate_is_plain(self):
         # the full (7,3) set with its last candidate replaced by a copy of its first
         full = enumerate_partitions(7, 3, 2).partitions
-        with pytest.raises(ValueError, match="candidate set"):
-            max_clique(build_graph(PartitionSystem(7, 3, [*full[:-1], full[0]])), symmetry_reduction=True)
-        # the full set in any order is accepted
+        assert_plain(build_graph(PartitionSystem(7, 3, [*full[:-1], full[0]])))
+        # the full set in any order is reduced
         graph = build_graph(PartitionSystem(7, 3, full[::-1]))
-        assert max_clique(graph, symmetry_reduction=True).size == max_clique(graph).size == 5
+        reduced, plain = max_clique(graph), max_clique(CompatibilityGraph(graph.adj))
+        assert reduced.size == plain.size == 5
+        assert reduced.nodes_explored < plain.nodes_explored
 
     def test_stops_at_root_bound(self):
         # the greedy seed already meets the root coloring bound of 9
@@ -428,14 +450,13 @@ class TestMaxClique:
         assert outcome.root_bound == 9
 
     def test_empty_graph(self):
-        for reduced in (False, True):
-            outcome = max_clique(graph_from_edges(0, []), symmetry_reduction=reduced)
-            assert outcome == outcome._replace(
-                best=None, vertices=(), size=0, proven_optimal=True, nodes_explored=0, root_bound=0
-            )
+        outcome = max_clique(graph_from_edges(0, []))
+        assert outcome == outcome._replace(
+            best=None, vertices=(), size=0, proven_optimal=True, nodes_explored=0, root_bound=0
+        )
 
     def test_plain_zero_budget_stops_after_the_seed(self):
-        graph = build_graph(enumerate_partitions(8, 3, 2))
+        graph = CompatibilityGraph(build_graph(enumerate_partitions(8, 3, 2)).adj)
         outcome = max_clique(graph, time_budget=0.0)
         seed = _greedy_clique(graph.adj, graph.num_vertices, outcome.root_bound, 0.0)
         assert (outcome.proven_optimal, outcome.nodes_explored) == (False, 0)
@@ -533,7 +554,7 @@ class TestReducedSearch:
     def test_matches_oracle(self, n, k):
         # tiny_oracle has no coloring bound; (8,3) takes it about half a minute
         graph = build_graph(enumerate_partitions(n, k, 2))
-        assert max_clique(graph, symmetry_reduction=True).size == tiny_oracle(graph), (n, k)
+        assert max_clique(graph).size == tiny_oracle(graph), (n, k)
 
     @pytest.mark.parametrize(
         "n,k,target,expected",
