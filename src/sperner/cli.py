@@ -68,7 +68,6 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("search", help="exhaustive maximum-system search")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--min-class-size", type=int, default=2, dest="min_class_size")
     s.add_argument("--time-limit", type=float, dest="time_limit")
     s.add_argument("--target", type=int)
     s.add_argument("--exact", action="store_true", help="run to a proven optimum")
@@ -198,11 +197,7 @@ def _cmd_search(args) -> int:
 
     try:
         outcome = solve_sp(
-            args.n,
-            args.k,
-            min_class_size=args.min_class_size,
-            time_budget=args.time_limit,
-            target=None if args.exact else args.target,
+            args.n, args.k, time_budget=args.time_limit, target=None if args.exact else args.target
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -115,9 +115,7 @@ class Partition:
         return tuple(c.bit_count() for c in self.classes)
 
     def _key(self):
-        # lexicographic canonical key; keeps partitions sharing small
-        # classes adjacent when sorted, which the clique search relies on
-        return (self.n, self.k, self.class_sets)
+        return (self.n, self.k, self.classes)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self._key() == other._key()

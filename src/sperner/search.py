@@ -1,18 +1,19 @@
 """Exhaustive maximum-system search via maximum clique.
 
-Candidate k-partitions are generated block by block (the block holding
-the smallest unplaced element is drawn from the rest with
-itertools.combinations, the last block is what remains) and sorted into
-canonical lexicographic order.  They come back as a PartitionSystem, the
-family type of the whole package, so serialize and verify_sperner take
-them as they take any system.  candidate_count counts them without
-enumerating, so solve_sp refuses a search whose adjacency would be too
-large before enumerating.  Their pairwise-compatibility graph is built
-(two partitions are adjacent iff all their classes are mutually
-incomparable) from model.containments, the same class-containment index
-the verifier reads.  A maximum Sperner system is a largest subfamily of
-the candidates whose classes form an antichain, which is exactly a
-maximum clique in that graph.
+Candidate k-partitions, with classes of at least 2 elements, are
+generated block by block (the block holding the smallest unplaced
+element is drawn from the rest with itertools.combinations, the last
+block is what remains) and sorted into canonical lexicographic order.
+They come back as a PartitionSystem, the family type of the whole
+package, so serialize and verify_sperner take them as they take any
+system.  candidate_count counts them without enumerating, so solve_sp
+refuses a search whose adjacency would be too large before enumerating.
+Their pairwise-compatibility graph is built (two partitions are adjacent
+iff all their classes are mutually incomparable) from
+model.containments, the same class-containment index the verifier
+reads.  A maximum Sperner system is a largest subfamily of the
+candidates whose classes form an antichain, which is exactly a maximum
+clique in that graph.
 
 The clique solver is a deterministic branch-and-bound with greedy-coloring
 upper bounds over bitmask candidate sets.  One routine, _color, does every
@@ -28,13 +29,13 @@ Every new incumbent, the greedy seed first, meets one stop rule: a met
 target stops the search unproven, the root bound stops it proven.
 
 A graph that carries its full candidate set also gets the symmetry of
-the problem.  Every k-partition with the allowed class sizes is there, so
-the set is closed under relabeling the ground set, and a relabeled clique
-is again a clique.  If the vertices fall into groups that such
-relabelings permute, any clique meeting a group can be moved to contain
-the group's first member.  The search therefore branches on one
-representative per group and then drops the group, at two levels: the
-orbits of S_n at the root, and under a root R the orbits of the
+the problem.  Every k-partition with classes of at least 2 elements is
+there, so the set is closed under relabeling the ground set, and a
+relabeled clique is again a clique.  If the vertices fall into groups
+that such relabelings permute, any clique meeting a group can be moved
+to contain the group's first member.  The search therefore branches on
+one representative per group and then drops the group, at two levels:
+the orbits of S_n at the root, and under a root R the orbits of the
 relabelings that permute elements inside each class of R.  One key,
 _orbit_key, names both (the root's fixed partition is the one class of
 the whole ground set).  Groups are visited one after another and each is
@@ -87,46 +88,40 @@ class SearchOutcome(NamedTuple):
     root_bound: int
 
 
-def candidate_count(n: int, k: int, min_class_size: int = 2) -> int:
+def candidate_count(n: int, k: int) -> int:
     """How many candidates enumerate_partitions yields, counted without enumerating.
 
     Counted the way they are generated: the block holding the smallest of
-    i elements has some size s and C(i-1, s-1) choices of its other
+    i elements has some size s >= 2 and C(i-1, s-1) choices of its other
     elements, and the i-s elements left form one block fewer.
     """
     if n < 0 or k < 1:
         return 0
     ways = [1] + [0] * n  # ways[i]: partitions of i elements into as many blocks as rounds so far
     for _ in range(k):
-        ways = [
-            sum(comb(i - 1, s - 1) * ways[i - s] for s in range(max(min_class_size, 1), i + 1))
-            for i in range(n + 1)
-        ]
+        ways = [sum(comb(i - 1, s - 1) * ways[i - s] for s in range(2, i + 1)) for i in range(n + 1)]
     return ways[n]
 
 
-def enumerate_partitions(n: int, k: int, min_class_size: int = 2) -> PartitionSystem:
-    """The system of all k-partitions with class sizes >= min_class_size, each exactly once.
+def enumerate_partitions(n: int, k: int) -> PartitionSystem:
+    """The system of all k-partitions of {0..n-1} into classes of at least 2 elements, each once.
 
-    Generation goes block by block.  The next block holds the smallest
-    element not yet placed, and its other elements are drawn with
-    itertools.combinations from the rest; its size leaves room for the
-    blocks still to come to reach min_class_size, and the last block is
-    whatever remains.  So every partition appears once, and each block's
-    element tuple and mask are built once and shared by every candidate
-    that holds it.  Blocks open in ascending smallest element, so a stable
-    sort by size puts a candidate's classes in canonical order, and the
-    candidates are sorted by those element tuples, which is Partition's
-    canonical order.
+    A singleton class lies inside the class holding its element in every
+    other partition, so a system of two or more partitions holds only
+    these, and n < 2k has none.  Generation goes block by block.  The next
+    block holds the smallest element not yet placed, and its other
+    elements are drawn with itertools.combinations from the rest; its size
+    leaves 2 elements for each block still to come, and the last block is
+    whatever remains.  So every partition appears once, and each block's element
+    tuple and mask are built once and shared by every candidate that
+    holds it.  Blocks open in ascending smallest element, so a stable sort
+    by size puts a candidate's classes in canonical order, and the
+    candidates are sorted by those element tuples (class_sets).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if min_class_size < 1:
-        raise ValueError("min_class_size must be at least 1")
-    if n < k * min_class_size:
-        raise ValueError(
-            f"no candidates: n={n} cannot hold {k} classes of size >= {min_class_size}"
-        )
+    if n < 2 * k:
+        raise ValueError(f"no candidates: n={n} cannot hold {k} classes of size >= 2")
     # one row per candidate: (element tuples, masks), both in canonical class order
     rows: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = []
     blocks: list[tuple[tuple[int, ...], int]] = []  # (elements, mask), ascending first element
@@ -139,7 +134,7 @@ def enumerate_partitions(n: int, k: int, min_class_size: int = 2) -> PartitionSy
             blocks.pop()
             return
         first, others = rest[0], rest[1:]
-        for size in range(min_class_size, len(rest) - (left - 1) * min_class_size + 1):
+        for size in range(2, len(rest) - 2 * (left - 1) + 1):
             for combo in combinations(others, size - 1):
                 mask = 1 << first
                 for e in combo:
@@ -298,12 +293,12 @@ def _orbit_key(fixed: tuple[int, ...], classes: tuple[int, ...]) -> tuple[tuple[
 
 
 def _is_candidate_set(cand: PartitionSystem | None) -> bool:
-    """Whether cand is enumerate_partitions(n, k, m), m its smallest class size, in any order.
+    """Whether cand is enumerate_partitions(n, k) in any order.
 
-    Only such a set is closed under relabeling the ground set, which the
+    Only that set is closed under relabeling the ground set, which the
     reduced search relies on.  The distinct k-partitions of {0..n-1} with
-    classes of at least m elements number candidate_count(n, k, m), so
-    that many distinct ones are all of them.
+    classes of at least 2 elements number candidate_count(n, k), so that
+    many distinct ones are all of them.
     """
     if cand is None or not cand.partitions:
         return False
@@ -317,8 +312,11 @@ def _is_candidate_set(cand: PartitionSystem | None) -> bool:
         return False
     if sum(map(int.bit_count, chain.from_iterable(rows))) != n * len(rows):
         return False
-    m = min(row[0].bit_count() for row in rows)  # canonical order: smallest class first
-    return m >= 1 and len(rows) == candidate_count(n, k, m) and len(set(rows)) == len(rows)
+    return (
+        min(row[0].bit_count() for row in rows) >= 2  # canonical order: smallest class first
+        and len(rows) == candidate_count(n, k)
+        and len(set(rows)) == len(rows)
+    )
 
 
 class _Stop(Exception):
@@ -513,7 +511,6 @@ MAX_ADJ_BYTES = 1_000_000_000
 def solve_sp(
     n: int,
     k: int,
-    min_class_size: int = 2,
     time_budget: float | None = None,
     target: int | None = None,
 ) -> SearchOutcome:
@@ -527,14 +524,14 @@ def solve_sp(
     """
     if time_budget is not None and isnan(time_budget):
         raise ValueError("the time budget is NaN; give a number of seconds")
-    count = candidate_count(n, k, min_class_size)
+    count = candidate_count(n, k)
     adj_bytes = count * -(-count // 8)
     if adj_bytes > MAX_ADJ_BYTES:
         raise ValueError(
             f"the search has {count:,} candidates, whose adjacency takes {adj_bytes:,} bytes, "
             f"over the cap of {MAX_ADJ_BYTES:,}"
         )
-    candidates = enumerate_partitions(n, k, min_class_size)
+    candidates = enumerate_partitions(n, k)
     graph = build_graph(candidates)
     outcome = max_clique(graph, time_budget=time_budget, target=target)
     assert outcome.best is not None

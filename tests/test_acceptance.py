@@ -9,10 +9,13 @@ search) takes a few seconds.
 
 import random
 import time
+from itertools import combinations
 from math import comb
 
 from sperner import (
     CompatibilityGraph,
+    Partition,
+    PartitionSystem,
     build_graph,
     check_difference_property,
     construct_2k1,
@@ -117,7 +120,7 @@ def test_criterion_07_exact_search_values():
     lines = []
     for n, k, expected, limit in [(5, 2, 4, 1.0), (6, 3, 5, 10.0), (7, 3, 5, 60.0), (9, 4, 8, 1800.0)]:
         t0 = time.perf_counter()
-        outcome = solve_sp(n, k, min_class_size=2)
+        outcome = solve_sp(n, k)
         elapsed = time.perf_counter() - t0
         assert outcome.proven_optimal, (n, k)
         assert outcome.size == expected, (n, k, outcome.size)
@@ -183,10 +186,11 @@ def test_criterion_10b_difference_property_implies_valid_development():
 
 def test_criterion_10c_clique_solver_matches_oracle():
     # the candidate graphs without their candidates, so the plain search runs
-    graphs = [
-        CompatibilityGraph(build_graph(enumerate_partitions(n, k, m)).adj)
-        for n, k, m in [(5, 2, 2), (6, 3, 2), (7, 3, 2), (4, 2, 1)]
-    ]
+    systems = [enumerate_partitions(n, k) for n, k in [(5, 2), (6, 3), (7, 3)]]
+    # and all seven 2-partitions of {0..3}, singleton classes included
+    halves = [c for r in (1, 2, 3) for c in combinations(range(4), r) if 0 in c]
+    systems.append(PartitionSystem(4, 2, [Partition(4, [c, set(range(4)) - set(c)]) for c in halves]))
+    graphs = [CompatibilityGraph(build_graph(system).adj) for system in systems]
     rng = random.Random(97)
     for num, p in [(20, 0.4), (30, 0.6), (40, 0.5), (50, 0.7)]:
         edges = [(u, v) for u in range(num) for v in range(u + 1, num) if rng.random() < p]
@@ -202,7 +206,7 @@ def test_criterion_10c_clique_solver_matches_oracle():
 
 def test_criterion_11a_budgeted_10_4_reaches_ten():
     t0 = time.perf_counter()
-    outcome = solve_sp(10, 4, min_class_size=2, time_budget=600.0, target=10)
+    outcome = solve_sp(10, 4, time_budget=600.0, target=10)
     elapsed = time.perf_counter() - t0
     assert outcome.size >= 10, outcome.size
     assert outcome.best is not None and verify_sperner(outcome.best).valid
@@ -210,7 +214,7 @@ def test_criterion_11a_budgeted_10_4_reaches_ten():
 
 
 def test_criterion_11b_sp_8_3_outcome_recorded():
-    outcome = solve_sp(8, 3, min_class_size=2)
+    outcome = solve_sp(8, 3)
     assert outcome.proven_optimal
     assert outcome.best is not None and verify_sperner(outcome.best).valid
     assert outcome.size in (8, 9)

@@ -172,6 +172,14 @@ def test_verify_invalid_exit_2_with_report(capsys, tmp_path):
     assert "equals" in out
 
 
+def test_verify_invalid_exit_2_counts_without_report(capsys, tmp_path):
+    target = tmp_path / "bad.txt"
+    target.write_text("4 2 2\n0,1|2,3\n0,1|2,3\n")
+    code, out, _ = run(capsys, "verify", str(target))
+    assert code == 2
+    assert out == "invalid: 4 violations, 0 well-formedness errors\n"
+
+
 def test_verify_parse_error_exit_1(capsys, tmp_path):
     target = tmp_path / "broken.txt"
     target.write_text("7 3 1\n0,1|2,3|4,5\n")
@@ -218,6 +226,13 @@ def test_bounds_table_requires_max_n(capsys):
     code, _, err = run(capsys, "bounds", "--k", "3", "--table")
     assert code == 64
     assert "--max-n" in err
+
+
+def test_bounds_requires_n_without_table(capsys):
+    code, out, err = run(capsys, "bounds", "--k", "3")
+    assert code == 64
+    assert out == ""
+    assert err == "error: --n is required without --table\n"
 
 
 @pytest.mark.parametrize(
@@ -288,6 +303,24 @@ def test_search_oversized_is_usage_error(capsys, monkeypatch):
     assert code == 64
     assert out == ""
     assert "302,995 candidates" in err and "11,475,935,625 bytes" in err
+
+
+def test_search_refuses_n_below_2k(capsys):
+    code, out, err = run(capsys, "search", "--n", "5", "--k", "3")
+    assert code == 64
+    assert out == ""
+    assert err == "error: no candidates: n=5 cannot hold 3 classes of size >= 2\n"
+
+
+def test_search_has_no_class_size_option(capsys):
+    # a singleton class never helps, so the class-size floor is the constant 2
+    code, out, err = run(capsys, "search", "--n", "7", "--k", "3", "--min-class-size", "2")
+    assert code == 64
+    assert out == ""
+    assert "unrecognized arguments: --min-class-size 2" in err
+    code, out, _ = run(capsys, "search", "--help")
+    assert code == 0
+    assert "--min-class-size" not in out
 
 
 def test_search_writes_witness(capsys, tmp_path):

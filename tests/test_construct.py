@@ -15,6 +15,7 @@ from sperner import (
     latin_lift,
     load_fixture,
     plan_construction,
+    serialize,
     sp_bounds,
     verify_sperner,
 )
@@ -197,6 +198,13 @@ class TestAuto:
     def test_infeasible(self):
         with pytest.raises(ValueError, match="n < k"):
             construct_auto(3, 4)
+
+    def test_forced_trivial_pairs_up_what_it_can(self):
+        system = construct_auto(7, 4, first="trivial")
+        assert (system.name, len(system)) == ("single(7,4)", 1)
+        assert_valid(system)
+        assert system.partitions[0].sizes == (1, 2, 2, 2)
+        assert serialize(system) == "# name: single(7,4)\n7 4 1\n6|0,1|2,3|4,5\n"
 
     def test_route_names_rules_top_down(self):
         assert plan_construction(13, 3)[1] == ("latin-lift", "latin-lift", "fixture")

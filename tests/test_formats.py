@@ -178,7 +178,7 @@ def test_fixture_shapes():
 
 def reference_serialize(system, fmt="text"):
     """serialize as it stood before it built each partition's element tuples once."""
-    parts = sorted(system.partitions, key=lambda p: p._key())
+    parts = sorted(system.partitions, key=lambda p: p.class_sets)
     if fmt == "text":
         lines = []
         if system.name:

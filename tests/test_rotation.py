@@ -183,7 +183,7 @@ def test_solve_initial_rejections():
 def test_no_initial_partition_for_k4():
     # every initial partition of the 8-circle with center into one triple
     # and three pairs, the center anywhere
-    candidates = enumerate_partitions(9, 4, min_class_size=2)
+    candidates = enumerate_partitions(9, 4)
     assert len(candidates) == 1260
     for p in candidates.partitions:
         init = InitialPartition(8, [[x + 1 for x in c] for c in p.class_sets])

@@ -59,7 +59,7 @@ def shape_count(n, k, min_size):
 
 
 def restricted_growth_reference(n, k, min_size):
-    """Element-by-element generator (a block is opened by its smallest element), sorted by _key()."""
+    """Element-by-element generator (a block is opened by its smallest element), sorted by class_sets."""
     out, blocks = [], []
 
     def rec(i):
@@ -77,7 +77,7 @@ def restricted_growth_reference(n, k, min_size):
             blocks.pop()
 
     rec(0)
-    out.sort(key=lambda p: p._key())
+    out.sort(key=lambda p: p.class_sets)
     return out
 
 
@@ -147,35 +147,31 @@ def oracle_graphs(n, k):
     rng = random.Random(20240815)
     for num, p in [(15, 0.3), (15, 0.7), (25, 0.5), (35, 0.4), (40, 0.8), (48, 0.6)]:
         yield random_graph(rng, num, p)
-    yield build_graph(enumerate_partitions(n, k, 2))
+    yield build_graph(enumerate_partitions(n, k))
 
 
 class TestEnumeration:
-    def test_stirling_4_2(self):
-        candidates = enumerate_partitions(4, 2, min_class_size=1)
-        assert len(candidates) == 7  # second-kind count for (4, 2)
-
     def test_shape_count_9_4(self):
-        candidates = enumerate_partitions(9, 4, min_class_size=2)
+        candidates = enumerate_partitions(9, 4)
         assert len(candidates) == 1260 == shape_count(9, 4, 2)
 
     def test_shape_count_7_3(self):
-        candidates = enumerate_partitions(7, 3, min_class_size=2)
+        candidates = enumerate_partitions(7, 3)
         assert len(candidates) == 105 == shape_count(7, 3, 2)
 
     def test_matches_shape_oracle(self):
-        for n, k, m in [(6, 3, 1), (6, 3, 2), (8, 4, 2), (8, 3, 2), (10, 4, 2), (10, 4, 1)]:
-            count = candidate_count(n, k, m)
-            assert len(enumerate_partitions(n, k, m)) == shape_count(n, k, m) == count, (n, k, m)
+        for n, k in [(6, 3), (8, 4), (8, 3), (10, 4)]:
+            count = candidate_count(n, k)
+            assert len(enumerate_partitions(n, k)) == shape_count(n, k, 2) == count, (n, k)
 
     def test_all_distinct_and_sorted(self):
-        candidates = enumerate_partitions(7, 3, 2)
-        keys = [p._key() for p in candidates.partitions]
+        candidates = enumerate_partitions(7, 3)
+        keys = [p.class_sets for p in candidates.partitions]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
     def test_min_size_respected(self):
-        candidates = enumerate_partitions(8, 3, 2)
+        candidates = enumerate_partitions(8, 3)
         assert all(min(p.sizes) >= 2 for p in candidates.partitions)
 
     @pytest.mark.parametrize(
@@ -184,28 +180,33 @@ class TestEnumeration:
         + [(10, 4, 2), (12, 6, 2)],
     )
     def test_matches_restricted_growth_reference(self, n, k, min_size):
-        # same partitions, same canonical order
-        candidates = enumerate_partitions(n, k, min_size).partitions
-        assert list(candidates) == restricted_growth_reference(n, k, min_size)
+        # same partitions, same canonical order: the reference's k-partitions
+        # into classes of at least min_size elements, less those holding a
+        # singleton; (n, k) with none left is refused
+        expected = [p for p in restricted_growth_reference(n, k, min_size) if min(p.sizes) >= 2]
+        if not expected:
+            with pytest.raises(ValueError, match="no candidates"):
+                enumerate_partitions(n, k)
+            return
+        assert list(enumerate_partitions(n, k).partitions) == expected
 
     def test_candidate_count_matches_shape_count(self):
         for n in range(0, 16):
             for k in range(1, 8):
-                for m in (1, 2, 3):
-                    assert candidate_count(n, k, m) == shape_count(n, k, m), (n, k, m)
+                assert candidate_count(n, k) == shape_count(n, k, 2), (n, k)
         assert candidate_count(12, 4) == 302_995
         assert candidate_count(-1, 2) == candidate_count(3, 0) == 0
 
     def test_infeasible(self):
-        with pytest.raises(ValueError, match="no candidates"):
-            enumerate_partitions(5, 3, 2)
+        with pytest.raises(ValueError, match="no candidates: n=5 cannot hold 3 classes of size >= 2"):
+            enumerate_partitions(5, 3)
         with pytest.raises(ValueError, match="k must be at least 1"):
-            enumerate_partitions(3, 0, 2)
+            enumerate_partitions(3, 0)
 
 
 class TestGraph:
     def test_adjacency_symmetric_no_loops(self):
-        graph = build_graph(enumerate_partitions(7, 3, 2))
+        graph = build_graph(enumerate_partitions(7, 3))
         for v in range(graph.num_vertices):
             assert not graph.adj[v] >> v & 1
             nb = graph.adj[v]
@@ -216,7 +217,7 @@ class TestGraph:
                 assert graph.adj[u] >> v & 1
 
     def test_containment_blocks_edge(self):
-        candidates = enumerate_partitions(6, 2, 2)
+        candidates = enumerate_partitions(6, 2)
         graph = build_graph(candidates)
         parts = candidates.partitions
         for u in range(len(parts)):
@@ -231,7 +232,7 @@ class TestGraph:
                 assert bool(graph.adj[u] >> v & 1) == expected
 
     def test_bundled_7_3_system_is_a_clique(self):
-        candidates = enumerate_partitions(7, 3, 2)
+        candidates = enumerate_partitions(7, 3)
         graph = build_graph(candidates)
         index = {p: i for i, p in enumerate(candidates.partitions)}
         vertices = [index[p] for p in load_fixture("fig-7-3").partitions]
@@ -243,8 +244,9 @@ class TestGraph:
     @pytest.mark.parametrize("min_size", [1, 2])
     @pytest.mark.parametrize("n,k", GRID_8)
     def test_adjacency_matches_definition(self, n, k, min_size):
-        # u ~ v iff u != v and every class of u is incomparable with every class of v
-        candidates = enumerate_partitions(n, k, min_size)
+        # u ~ v iff u != v and every class of u is incomparable with every class of v;
+        # build_graph takes any system, singleton classes included
+        candidates = PartitionSystem(n, k, restricted_growth_reference(n, k, min_size))
         parts = [p.classes for p in candidates.partitions]
         expected = [0] * len(parts)
         for (u, cu), (v, cv) in combinations(enumerate(parts), 2):
@@ -333,12 +335,12 @@ def assert_plain(graph):
 
 class TestMaxClique:
     def test_small_sp_values(self):
-        assert max_clique(build_graph(enumerate_partitions(5, 2, 2))).size == 4
-        assert max_clique(build_graph(enumerate_partitions(6, 3, 2))).size == 5
-        assert max_clique(build_graph(enumerate_partitions(7, 3, 2))).size == 5
+        assert max_clique(build_graph(enumerate_partitions(5, 2))).size == 4
+        assert max_clique(build_graph(enumerate_partitions(6, 3))).size == 5
+        assert max_clique(build_graph(enumerate_partitions(7, 3))).size == 5
 
     def test_sp_7_3_agrees_with_oracle(self):
-        graph = CompatibilityGraph(build_graph(enumerate_partitions(7, 3, 2)).adj)
+        graph = CompatibilityGraph(build_graph(enumerate_partitions(7, 3)).adj)
         outcome = max_clique(graph)
         assert outcome.proven_optimal
         assert outcome.size == tiny_oracle(graph) == 5
@@ -359,13 +361,13 @@ class TestMaxClique:
                         assert graph.adj[u] >> v & 1
 
     def test_deterministic_witness(self):
-        graph = build_graph(enumerate_partitions(7, 3, 2))
+        graph = build_graph(enumerate_partitions(7, 3))
         a = max_clique(graph)
         b = max_clique(graph)
         assert a.vertices == b.vertices and a.nodes_explored == b.nodes_explored
 
     def test_target_stops_early(self):
-        graph = build_graph(enumerate_partitions(7, 3, 2))
+        graph = build_graph(enumerate_partitions(7, 3))
         outcome = max_clique(graph, target=4)
         assert outcome.size >= 4
         assert not outcome.proven_optimal
@@ -379,19 +381,19 @@ class TestMaxClique:
             return greedy(adj, num, bound, *rest)
 
         monkeypatch.setattr(sperner.search, "_greedy_clique", spy)
-        outcome = max_clique(build_graph(enumerate_partitions(8, 3, 2)), target=4)
+        outcome = max_clique(build_graph(enumerate_partitions(8, 3)), target=4)
         assert bounds == [4]  # not the root bound of 24
         assert outcome.size >= 4
 
     def test_time_budget_returns_best_so_far(self):
-        graph = build_graph(enumerate_partitions(8, 3, 2))
+        graph = build_graph(enumerate_partitions(8, 3))
         outcome = max_clique(graph, time_budget=0.0)
         assert not outcome.proven_optimal
         assert outcome.size >= 1  # greedy seed still reports a clique
 
     def test_search_keeps_no_second_copy_of_the_rows(self):
         # (10,4): 9,450 vertices, 11.2 MB of rows; a complement table would be as large again
-        graph = build_graph(enumerate_partitions(10, 4, 2))
+        graph = build_graph(enumerate_partitions(10, 4))
         row_bytes = sum((a.bit_length() + 7) // 8 for a in graph.adj)
         tracemalloc.start()
         try:
@@ -406,12 +408,12 @@ class TestMaxClique:
         # solve_sp's graph carries its candidates and is reduced; without them it is not
         for n, k in GRID_8:
             reduced = solve_sp(n, k)
-            plain = max_clique(CompatibilityGraph(build_graph(enumerate_partitions(n, k, 2)).adj))
+            plain = max_clique(CompatibilityGraph(build_graph(enumerate_partitions(n, k)).adj))
             assert reduced.proven_optimal and plain.proven_optimal
             assert reduced.size == plain.size, (n, k)
 
     def test_the_graph_picks_the_path(self):
-        graph = build_graph(enumerate_partitions(8, 3, 2))
+        graph = build_graph(enumerate_partitions(8, 3))
         reduced, plain = max_clique(graph), max_clique(CompatibilityGraph(graph.adj))
         assert (reduced.size, reduced.proven_optimal, reduced.nodes_explored) == (8, True, 117)
         assert (plain.size, plain.proven_optimal, plain.nodes_explored) == (8, True, 244_317)
@@ -423,7 +425,7 @@ class TestMaxClique:
         # 150 of the 490 (8,3) candidates are not closed under relabeling:
         # reduced regardless, the search returned 7 as proven on 14 of the
         # 17 samples whose maximum is 8
-        full = enumerate_partitions(8, 3, 2)
+        full = enumerate_partitions(8, 3)
         rng = random.Random(1)
         sizes = []
         for _ in range(30):
@@ -435,7 +437,7 @@ class TestMaxClique:
 
     def test_symmetry_reduction_on_a_duplicate_is_plain(self):
         # the full (7,3) set with its last candidate replaced by a copy of its first
-        full = enumerate_partitions(7, 3, 2).partitions
+        full = enumerate_partitions(7, 3).partitions
         assert_plain(build_graph(PartitionSystem(7, 3, [*full[:-1], full[0]])))
         # the full set in any order is reduced
         graph = build_graph(PartitionSystem(7, 3, full[::-1]))
@@ -443,9 +445,25 @@ class TestMaxClique:
         assert reduced.size == plain.size == 5
         assert reduced.nodes_explored < plain.nodes_explored
 
+    @pytest.mark.parametrize(
+        "masks,nodes",
+        [
+            # the classes meet, and the masks sum short of the full mask
+            ([0b11, 0b110, 0b1111000], 1456),
+            # the classes meet, but carries make the sum the full mask and no class is a singleton
+            ([0b11, 0b110, 0b1110110], 1439),
+        ],
+        ids=["sum", "sizes"],
+    )
+    def test_symmetry_reduction_with_a_row_that_is_no_partition_is_plain(self, masks, nodes):
+        parts = list(enumerate_partitions(7, 3).partitions)
+        parts[50] = Partition(7, masks, 3)
+        outcome = assert_plain(build_graph(PartitionSystem(7, 3, parts)))
+        assert (outcome.size, outcome.nodes_explored) == (5, nodes)
+
     def test_stops_at_root_bound(self):
         # the greedy seed already meets the root coloring bound of 9
-        outcome = max_clique(build_graph(enumerate_partitions(10, 5, 2)))
+        outcome = max_clique(build_graph(enumerate_partitions(10, 5)))
         assert (outcome.size, outcome.proven_optimal, outcome.nodes_explored) == (9, True, 0)
         assert outcome.root_bound == 9
 
@@ -456,7 +474,7 @@ class TestMaxClique:
         )
 
     def test_plain_zero_budget_stops_after_the_seed(self):
-        graph = CompatibilityGraph(build_graph(enumerate_partitions(8, 3, 2)).adj)
+        graph = CompatibilityGraph(build_graph(enumerate_partitions(8, 3)).adj)
         outcome = max_clique(graph, time_budget=0.0)
         seed = _greedy_clique(graph.adj, graph.num_vertices, outcome.root_bound, 0.0)
         assert (outcome.proven_optimal, outcome.nodes_explored) == (False, 0)
@@ -479,7 +497,7 @@ class TestMaxClique:
             assert (outcome.size, outcome.proven_optimal, outcome.nodes_explored) == (1, True, 0)
 
     def test_time_budget_covers_setup(self):
-        graph = build_graph(enumerate_partitions(10, 4, 2))
+        graph = build_graph(enumerate_partitions(10, 4))
         t0 = time.perf_counter()
         outcome = max_clique(graph, time_budget=0.05)
         elapsed = time.perf_counter() - t0
@@ -511,7 +529,7 @@ def stabilizer_orbits(root, candidates):
 class TestOrbitKey:
     @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (7, 3), (8, 3)])
     def test_key_classes_are_exactly_stabilizer_orbits(self, n, k):
-        candidates = enumerate_partitions(n, k, 2)
+        candidates = enumerate_partitions(n, k)
         seen_shapes = set()
         for root in candidates.partitions:
             if root.sizes in seen_shapes:
@@ -553,7 +571,7 @@ class TestReducedSearch:
     )
     def test_matches_oracle(self, n, k):
         # tiny_oracle has no coloring bound; (8,3) takes it about half a minute
-        graph = build_graph(enumerate_partitions(n, k, 2))
+        graph = build_graph(enumerate_partitions(n, k))
         assert max_clique(graph).size == tiny_oracle(graph), (n, k)
 
     @pytest.mark.parametrize(
@@ -605,9 +623,11 @@ class TestSolveSp:
         assert verify_sperner(outcome.best).valid
         assert len(outcome.best) == 5
 
-    def test_min_class_size_one_same_maximum(self):
-        # singleton-class candidates never help once two partitions exist
-        for n, k in [(5, 2), (6, 3), (6, 2), (7, 3)]:
-            loose = solve_sp(n, k, min_class_size=1)
-            tight = solve_sp(n, k, min_class_size=2)
-            assert loose.size == tight.size, (n, k)
+    def test_singleton_classes_never_help(self):
+        # a singleton class lies inside the class holding its element in every
+        # other partition; with every k-partition as candidates, the graph fails
+        # the candidate-set check and runs plain, and finds the same maximum
+        for n, k in [(5, 2), (6, 2), (6, 3), (7, 3)]:
+            everything = PartitionSystem(n, k, restricted_growth_reference(n, k, 1))
+            assert min(min(p.sizes) for p in everything.partitions) == 1
+            assert assert_plain(build_graph(everything)).size == solve_sp(n, k).size, (n, k)
