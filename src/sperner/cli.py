@@ -1,17 +1,18 @@
 """Command-line interface.
 
 Subcommands: construct, verify, bounds, search, fixtures.  Exit codes are
-stable: 0 success, 1 parse error, 2 invalid system, 3 search budget
-exhausted, 64 usage error (an -o path that cannot be written is one).
-Result output goes to stdout and is byte-stable across runs; timing
-diagnostics go to stderr.  Each handler imports the modules it runs, so
-a process loads only what its subcommand needs: bounds loads only the
-bounds module, and construct and verify never load the search.
+stable: 0 success, 1 parse error or a closed stdout, 2 invalid system,
+3 search budget exhausted, 64 usage error (an -o path that cannot be
+written is one).  Result output goes to stdout and is byte-stable across
+runs; timing diagnostics go to stderr.  Each handler imports the modules
+it runs, so a process loads only what its subcommand needs: bounds loads
+only the bounds module, and construct and verify never load the search.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 EX_OK = 0
@@ -202,13 +203,14 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    print(f"SP({args.n},{args.k}) search: size {outcome.size}", end=" ")
-    print("(proven maximum)" if outcome.proven_optimal else "(not proven maximum)")
+    # stderr first, so the search's figures go out even if stdout is closed
     print(
         f"nodes {outcome.nodes_explored}, elapsed {outcome.elapsed:.2f}s, "
         f"root bound {outcome.root_bound}",
         file=sys.stderr,
     )
+    print(f"SP({args.n},{args.k}) search: size {outcome.size}", end=" ")
+    print("(proven maximum)" if outcome.proven_optimal else "(not proven maximum)")
     if args.output and outcome.best is not None and _emit(outcome.best, args.output, args.format):
         return EX_USAGE
     # --exact ignores the target, so only a proof ends it successfully
@@ -250,7 +252,16 @@ def main(argv=None) -> int:
         "search": _cmd_search,
         "fixtures": _cmd_fixtures,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        if sys.stdout is not None:  # None when the process started without a stdout
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, as the Python docs
+        # advise, so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_PARSE
+    return code
 
 
 if __name__ == "__main__":

@@ -38,14 +38,6 @@ def _verified(system: PartitionSystem) -> PartitionSystem:
     return system
 
 
-def _developed(init: InitialPartition, name: str, size: int) -> PartitionSystem:
-    """Develop, then verify the size and the antichain, which decides the difference property."""
-    system = develop(init, name=name)
-    if len(system) != size:
-        raise RuntimeError("internal error: developed system has the wrong size")
-    return _verified(system)
-
-
 def construct_k2(n: int) -> PartitionSystem:
     """All 2-partitions {A, complement} with 0 in A and |A| = (n-1)/2, for odd n.
 
@@ -85,7 +77,7 @@ def construct_2k1(k: int) -> PartitionSystem:
         return construct_k2(5).with_name("construct_2k1(2)")
     if k == 4:
         return _verified(load_fixture("fig-9-4").with_name("construct_2k1(4)"))
-    return _developed(solve_initial_2k1(k), f"construct_2k1({k})", 2 * k)
+    return _verified(develop(solve_initial_2k1(k), f"construct_2k1({k})"))
 
 
 def construct_2k2(k: int) -> PartitionSystem:
@@ -101,7 +93,7 @@ def construct_2k2(k: int) -> PartitionSystem:
         raise ValueError("construct_2k2 requires k >= 3 (k = 2 is the two-class case)")
     classes = [(1, 2, 2 * k + 2), (k + 1, k + 2, k + 3)]
     classes += [(i, 2 * k + 4 - i) for i in range(3, k + 1)]
-    return _developed(InitialPartition(2 * k + 1, classes), f"construct_2k2({k})", 2 * k + 1)
+    return _verified(develop(InitialPartition(2 * k + 1, classes), f"construct_2k2({k})"))
 
 
 def construct_3k1(k: int) -> PartitionSystem:
@@ -119,7 +111,7 @@ def construct_3k1(k: int) -> PartitionSystem:
         raise ValueError("construct_3k1 requires k >= 4")
     classes = [(1, 3 * k - 1), (2, k + 1, 3 * k - 2)]
     classes += [(i, 2 * k + 2 - i, 3 * k - i) for i in range(3, k + 1)]
-    return _developed(InitialPartition(3 * k - 1, classes), f"construct_3k1({k})", 3 * k - 1)
+    return _verified(develop(InitialPartition(3 * k - 1, classes), f"construct_3k1({k})"))
 
 
 def _require_sperner(base: PartitionSystem) -> None:

@@ -10,16 +10,18 @@ search.build_graph and rotation.check_difference_property all read it.
 It picks, per class and per smaller size present, the cheaper of a
 subset lookup and a scan of that size's classes, so its work grows with
 the classes of each size and no input needs a size limit.
-verify_sperner checks each partition's well-formedness in bulk, with a
-few whole-mask operations, and holds one set entry per class beyond the
-system itself; locations are looked up only for classes behind a finding.
+_malformed_rows is the one k-partition test: it checks rows of class
+masks in bulk, with a few whole-mask operations per row, for
+verify_sperner and for the search's guard on full candidate sets.
+verify_sperner holds one set entry per class beyond the system itself;
+locations are looked up only for classes behind a finding.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, lcm
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -199,6 +201,24 @@ def validate_partition(p: Partition) -> list[str]:
     return errors
 
 
+def _malformed_rows(rows: Sequence[Sequence[int]], n: int, k: int) -> Iterator[int]:
+    """Yield the index of every row of class masks that is not a k-partition of {0..n-1}.
+
+    A row is one exactly when it has k classes, none of them empty, whose
+    union is {0..n-1} and whose sizes sum to n: classes that cover n
+    elements with n bits in all cannot meet.
+    """
+    full = (1 << n) - 1 if rows else 0  # an empty system's n alone can be huge
+    for t, cs in enumerate(rows):
+        if (
+            len(cs) != k
+            or 0 in cs
+            or reduce(or_, cs, 0) != full
+            or sum(map(int.bit_count, cs)) != n
+        ):
+            yield t
+
+
 def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
     """Yield every (sub, sup) pair of the given classes with sub a proper subset of sup.
 
@@ -256,43 +276,31 @@ def verify_sperner(system: PartitionSystem) -> SpernerReport:
     sets are incomparable automatically.  Violations are reported
     exhaustively and sorted, so equal inputs give identical reports.
 
-    Each partition is checked in bulk: it is well formed exactly when it
-    has k classes, none of them empty, whose union is {0..n-1} and whose
-    sizes sum to n.  Only a partition that fails goes through
-    validate_partition, which words the messages.  All classes go into one
-    set, handed to containments; equal classes exist exactly when the set
-    is smaller than the class count.  The (partition, class) locations are
-    gathered only for repeated classes and the ends of containment pairs,
-    so a valid system costs one set entry per class.
+    Each partition is checked in bulk by _malformed_rows; only a partition
+    that fails goes through validate_partition, which words the messages.
+    All classes go into one set, handed to containments; equal classes
+    exist exactly when the set is smaller than the class count.  The
+    (partition, class) locations are gathered only for repeated classes
+    and the ends of containment pairs, so a valid system costs one set
+    entry per class.
     """
     partitions = system.partitions
-    n, k = system.n, system.k
-    full = (1 << n) - 1 if partitions else 0  # an empty system's n alone can be huge
-    wellformed = []
-    present: set[int] = set()
-    total = 0
-    for t, p in enumerate(partitions):
-        cs = p.classes
-        present.update(cs)
-        total += len(cs)
-        if (
-            len(cs) != k
-            or 0 in cs
-            or reduce(or_, cs, 0) != full
-            or sum(map(int.bit_count, cs)) != n
-        ):
-            wellformed.extend(f"partition {t}: {msg}" for msg in validate_partition(p))
+    rows = [p.classes for p in partitions]
+    wellformed = [
+        f"partition {t}: {msg}"
+        for t in _malformed_rows(rows, system.n, system.k)
+        for msg in validate_partition(partitions[t])
+    ]
+    present = set(chain.from_iterable(rows))
 
     pairs = list(containments(present))
     involved = {c for pair in pairs for c in pair}
-    if len(present) < total:
-        involved.update(
-            c for c, m in Counter(c for p in partitions for c in p.classes).items() if m > 1
-        )
+    if len(present) < sum(map(len, rows)):
+        involved.update(c for c, m in Counter(chain.from_iterable(rows)).items() if m > 1)
     owners: dict[int, list[tuple[int, int]]] = {}
     if involved:
-        for a, p in enumerate(partitions):
-            for i, c in enumerate(p.classes):
+        for a, cs in enumerate(rows):
+            for i, c in enumerate(cs):
                 if c in involved:
                     owners.setdefault(c, []).append((a, i))
 

@@ -208,7 +208,8 @@ def solve_initial_2k1(k: int) -> InitialPartition:
     puts the triangle in place, and e joins the center, labeled 2k+1.
     The runs for k = 0 mod 4 need k >= 12, so k = 8 takes the seed of the
     paper's Figure 2.  No initial partition exists for k = 4 (all 1,260
-    candidates fail), and that case raises.
+    candidates fail), and that case raises.  The result is not checked
+    here: construct_2k1 verifies the system it develops.
     """
     if k < 2 or k % 2:
         raise ValueError("construction requires even k")
@@ -229,11 +230,4 @@ def solve_initial_2k1(k: int) -> InitialPartition:
         (e,) = free - {t, (t + h) % m, (t + k) % m}
         classes = [(1, 1 + h, 1 + k), ((e - t) % m + 1, m + 1)]
         classes += [((x - t) % m + 1, (y - t) % m + 1) for x, y in edges]
-    init = InitialPartition(m, classes)
-    check = check_difference_property(init)
-    if not check.ok:
-        raise RuntimeError(
-            "internal error: solved initial partition fails the difference property: "
-            + "; ".join(check.problems)
-        )
-    return init
+    return InitialPartition(m, classes)

@@ -48,11 +48,11 @@ runs it on a candidate graph.
 from __future__ import annotations
 
 import time
-from itertools import chain, combinations, compress
-from math import comb, isnan
+from itertools import combinations, compress
+from math import isnan
 from typing import NamedTuple
 
-from .model import Partition, PartitionSystem, containments, verify_sperner
+from .model import Partition, PartitionSystem, _malformed_rows, containments, verify_sperner
 
 __all__ = [
     "CompatibilityGraph",
@@ -91,16 +91,17 @@ class SearchOutcome(NamedTuple):
 def candidate_count(n: int, k: int) -> int:
     """How many candidates enumerate_partitions yields, counted without enumerating.
 
-    Counted the way they are generated: the block holding the smallest of
-    i elements has some size s >= 2 and C(i-1, s-1) choices of its other
-    elements, and the i-s elements left form one block fewer.
+    Counted by the block of the last of i elements: either it is a pair,
+    with one of the other i-1 elements, and the i-2 left form one block
+    fewer, or removing that element leaves a partition of the other i-1
+    into j blocks, and it joins one of the j.  So the work is n * k steps.
     """
     if n < 0 or k < 1:
         return 0
-    ways = [1] + [0] * n  # ways[i]: partitions of i elements into as many blocks as rounds so far
-    for _ in range(k):
-        ways = [sum(comb(i - 1, s - 1) * ways[i - s] for s in range(2, i + 1)) for i in range(n + 1)]
-    return ways[n]
+    older, old = [0] * (k + 1), [1] + [0] * k  # old[j]: partitions of i elements into j blocks
+    for i in range(1, n + 1):
+        older, old = old, [0] + [j * old[j] + (i - 1) * older[j - 1] for j in range(1, k + 1)]
+    return old[k]
 
 
 def enumerate_partitions(n: int, k: int) -> PartitionSystem:
@@ -195,19 +196,6 @@ def build_graph(candidates: PartitionSystem) -> CompatibilityGraph:
     return CompatibilityGraph(tuple(adj), candidates)
 
 
-def graph_from_edges(num_vertices: int, edges) -> CompatibilityGraph:
-    """Plain graph constructor for tests and oracles."""
-    adj = [0] * num_vertices
-    for u, v in edges:
-        if u == v:
-            continue
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            raise ValueError(f"edge ({u},{v}) out of range")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return CompatibilityGraph(tuple(adj))
-
-
 def _color(P: int, adj, threshold: int = 0) -> tuple[list[int], list[int]]:
     """Greedy sequential coloring of P in vertex order (Tomita's MCS, San Segundo's BBMC).
 
@@ -254,7 +242,7 @@ def _set_bits(P: int) -> list[int]:
 _GREEDY_TRIES = 24
 
 
-def _greedy_clique(adj, num: int, bound: int, deadline: float | None = None) -> int:
+def _greedy_clique(adj, bound: int, deadline: float | None = None) -> int:
     """Deterministic greedy lower bound: best clique mask over a few dense seeds.
 
     The first try always completes, so a clique is reported even when the
@@ -262,7 +250,7 @@ def _greedy_clique(adj, num: int, bound: int, deadline: float | None = None) -> 
     a clique meets the upper bound.
     """
     best = 0
-    starts = sorted(range(num), key=lambda v: (-adj[v].bit_count(), v))[:_GREEDY_TRIES]
+    starts = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))[:_GREEDY_TRIES]
     for s in starts:
         clique = 1 << s
         P = adj[s]
@@ -304,17 +292,10 @@ def _is_candidate_set(cand: PartitionSystem | None) -> bool:
         return False
     n, k = cand.n, cand.k
     rows = [p.classes for p in cand.partitions]
-    # Each row is k class masks summing to the full mask.  A sum loses set
-    # bits only to carries, so each row's class sizes total at least n, and
-    # n exactly when no two of its classes meet.  The sizes over all rows
-    # then total n per row only if every row is a k-partition.
-    if set(map(len, rows)) != {k} or set(map(sum, rows)) != {(1 << n) - 1}:
-        return False
-    if sum(map(int.bit_count, chain.from_iterable(rows))) != n * len(rows):
-        return False
     return (
-        min(row[0].bit_count() for row in rows) >= 2  # canonical order: smallest class first
-        and len(rows) == candidate_count(n, k)
+        len(rows) == candidate_count(n, k)  # first: it turns most other graphs away cheaply
+        and min(row[0].bit_count() for row in rows) >= 2  # canonical order: smallest class first
+        and next(_malformed_rows(rows, n, k), None) is None
         and len(set(rows)) == len(rows)
     )
 
@@ -443,7 +424,7 @@ def max_clique(
         root_coloring = _color(full, adj)
         root_bound = root_coloring[1][-1]
         seed_bound = root_bound if target is None else min(target, root_bound)
-        seed = _greedy_clique(adj, num, seed_bound, deadline)
+        seed = _greedy_clique(adj, seed_bound, deadline)
         improve(seed.bit_count(), seed)
         if deadline is not None and time.perf_counter() > deadline:
             raise _Stop(False)
@@ -470,32 +451,6 @@ def max_clique(
         elapsed=time.perf_counter() - t0,
         root_bound=root_bound,
     )
-
-
-def tiny_oracle(graph: CompatibilityGraph) -> int:
-    """Maximum clique size by plain exhaustive expansion (no coloring bound).
-
-    Independent cross-check for max_clique on small graphs.
-    """
-    if graph.num_vertices > 2000:
-        raise ValueError("tiny_oracle supports at most 2000 vertices")
-    adj = graph.adj
-    best = 0
-
-    def expand(size: int, P: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while P:
-            if size + P.bit_count() <= best:
-                return
-            lsb = P & -P
-            v = lsb.bit_length() - 1
-            P ^= lsb
-            expand(size + 1, P & adj[v])
-
-    expand(0, (1 << graph.num_vertices) - 1)
-    return best
 
 
 # The largest adjacency solve_sp builds: N candidates take N bitmask rows

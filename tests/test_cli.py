@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,3 +367,42 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     assert err.splitlines()[-1].startswith("error: ") and str(target) in err
     assert "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--n", "9", "--k", "4"),
+        ("bounds", "--k", "3", "--table", "--max-n", "3000"),
+        ("search", "--n", "7", "--k", "3", "--exact"),
+    ],
+    ids=["bounds", "bounds-table", "search"],
+)
+def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
+    # stdout is a pipe whose read end is closed before the CLI starts, so the
+    # first write that reaches it fails whatever the pipe's buffer size
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sperner.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+    if argv[0] == "search":
+        assert done.stderr.startswith("nodes ")
+    else:
+        assert done.stderr == ""

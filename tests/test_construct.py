@@ -68,6 +68,27 @@ class TestConstruct2k1:
         with pytest.raises(ValueError, match="odd k"):
             construct_2k1(5)
 
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_sperner_is_decided_once(self, monkeypatch, k):
+        # the developed system's verify decides Sperner-ness; the difference
+        # property is not checked a second time on the way
+        import sperner.construct
+        import sperner.rotation
+
+        names = []
+
+        def counting_verify(system):
+            names.append(system.name)
+            return verify_sperner(system)
+
+        def no_difference_check(init):
+            raise AssertionError("check_difference_property was called")
+
+        monkeypatch.setattr(sperner.construct, "verify_sperner", counting_verify)
+        monkeypatch.setattr(sperner.rotation, "check_difference_property", no_difference_check)
+        assert len(construct_2k1(k)) == 2 * k
+        assert names == [f"construct_2k1({k})"]
+
     def test_even_range_meets_cap_exactly(self):
         for k in range(4, 31, 2):
             system = construct_2k1(k)

@@ -259,14 +259,15 @@ def test_verify_keeps_a_few_bytes_per_class():
 
 def test_verify_empty_system_builds_no_n_bit_mask():
     # a 10^7-bit mask is 1.25 MB; a system with no partition needs none
-    tracemalloc.start()
-    try:
-        report = verify_sperner(PartitionSystem(10**7, 1, []))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.valid
-    assert peak < 100_000, peak
+    for n, k in ((10**7, 1), (10**9, 2)):
+        tracemalloc.start()
+        try:
+            report = verify_sperner(PartitionSystem(n, k, []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.valid
+        assert peak < 100_000, (n, peak)
 
 
 # containments as it stood with one global switch: subset enumeration while

@@ -18,7 +18,8 @@ from sperner import (
     SpernerReport,
     enumerate_partitions,
 )
-from sperner.search import graph_from_edges
+
+from oracles import graph_from_edges
 
 # every public name -> the submodule that defines it
 PUBLIC = {

@@ -218,4 +218,6 @@ def test_difference_property_implies_valid_development_mixed_sizes(init):
     # with triangles and 4-classes side by side this reaches the check for
     # a developed smaller class inside a developed larger one; the check
     # and the verifier must agree both ways
-    assert check_difference_property(init).ok == verify_sperner(develop(init)).valid
+    system = develop(init)
+    assert len(system) == init.m  # repeated images are kept, for the verifier to report
+    assert check_difference_property(init).ok == verify_sperner(system).valid

@@ -22,14 +22,9 @@ from sperner import (
     verify_sperner,
 )
 from sperner.model import Partition, PartitionSystem
-from sperner.search import (
-    _color,
-    _greedy_clique,
-    _orbit_key,
-    _set_bits,
-    graph_from_edges,
-    tiny_oracle,
-)
+from sperner.search import _color, _greedy_clique, _orbit_key, _set_bits
+
+from oracles import graph_from_edges, tiny_oracle
 
 
 def shape_count(n, k, min_size):
@@ -197,6 +192,12 @@ class TestEnumeration:
         assert candidate_count(12, 4) == 302_995
         assert candidate_count(-1, 2) == candidate_count(3, 0) == 0
 
+    def test_candidate_count_at_large_n(self):
+        # two classes of at least 2: S(n, 2) = 2^(n-1) - 1 less the n splits with a singleton;
+        # the count takes n * k steps, so a search at n = 1000 is refused at once
+        assert candidate_count(1000, 2) == 2**999 - 1 - 1000
+        assert candidate_count(1000, 1) == 1
+
     def test_infeasible(self):
         with pytest.raises(ValueError, match="no candidates: n=5 cannot hold 3 classes of size >= 2"):
             enumerate_partitions(5, 3)
@@ -260,7 +261,7 @@ class TestGreedySeed:
     def test_matches_lsb_peeling_loop(self):
         for graph in oracle_graphs(9, 3):
             for bound in (3, graph.num_vertices + 1):
-                got = _greedy_clique(graph.adj, graph.num_vertices, bound)
+                got = _greedy_clique(graph.adj, bound)
                 assert got == lsb_peeling_greedy(graph.adj, graph.num_vertices, bound)
 
     def test_set_bits(self):
@@ -376,9 +377,9 @@ class TestMaxClique:
         bounds = []
         greedy = sperner.search._greedy_clique
 
-        def spy(adj, num, bound, *rest):
+        def spy(adj, bound, *rest):
             bounds.append(bound)
-            return greedy(adj, num, bound, *rest)
+            return greedy(adj, bound, *rest)
 
         monkeypatch.setattr(sperner.search, "_greedy_clique", spy)
         outcome = max_clique(build_graph(enumerate_partitions(8, 3)), target=4)
@@ -476,7 +477,7 @@ class TestMaxClique:
     def test_plain_zero_budget_stops_after_the_seed(self):
         graph = CompatibilityGraph(build_graph(enumerate_partitions(8, 3)).adj)
         outcome = max_clique(graph, time_budget=0.0)
-        seed = _greedy_clique(graph.adj, graph.num_vertices, outcome.root_bound, 0.0)
+        seed = _greedy_clique(graph.adj, outcome.root_bound, 0.0)
         assert (outcome.proven_optimal, outcome.nodes_explored) == (False, 0)
         assert outcome.vertices == tuple(_set_bits(seed))
 
@@ -489,7 +490,7 @@ class TestMaxClique:
         keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="edges")
         graph = graph_from_edges(num, compress(pairs, keep))
         bound = data.draw(st.integers(0, num + 1), label="bound")
-        seed = _greedy_clique(graph.adj, num, bound, deadline=0.0)
+        seed = _greedy_clique(graph.adj, bound, deadline=0.0)
         if any(keep):
             assert seed.bit_count() >= 2
         else:
