@@ -18,7 +18,7 @@ rules that build a system, so the two cannot drift apart.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import groupby
+from itertools import chain, groupby
 from math import comb
 from typing import NamedTuple
 
@@ -107,28 +107,41 @@ def known_exact(n: int, k: int) -> tuple[int, str] | None:
     return candidates[0]
 
 
-def best_upper(n: int, k: int) -> tuple[int, Provenance]:
-    """Minimum of all applicable upper bounds; provenance lists every rule attaining it."""
-    _check_positive(n, k)
-    options: list[tuple[int, str, str]] = []
-    ke = known_exact(n, k)
-    if ke is not None:
-        options.append((ke[0], "known-exact", ke[1]))
-    if n >= k:
-        options.append(
-            (
-                counting_upper_bound(n, k),
-                "counting-bound",
-                "floor of C(n,ell)*(n-ell) / ((k-r)*(n-ell) + r*(ell+1))",
-            )
+def _proved_upper(n: int, k: int) -> tuple[int, Provenance]:
+    """Least of the proved upper bounds, with every rule attaining it; requires n >= k.
+
+    These are the counting bound and the 2k+1 and 2k+2 caps.  known_exact
+    is left out: it cites computer searches (SP(7,3) = 5, SP(10,4) = 10)
+    that are no proof here, and its other values equal the counting bound
+    (k | n) or cap-2k1 (n = 2k+1, k even).  The exact search stops at this
+    bound.
+    """
+    options = [
+        (
+            counting_upper_bound(n, k),
+            "counting-bound",
+            "floor of C(n,ell)*(n-ell) / ((k-r)*(n-ell) + r*(ell+1))",
         )
+    ]
     if n == 2 * k + 1:
         options.append((2 * k, "cap-2k1", "at most 2k partitions on a (2k+1)-set"))
     if n == 2 * k + 2 and k >= 3:
         options.append((2 * k + 3, "cap-2k2", "at most 2k+3 partitions on a (2k+2)-set"))
     value = min(v for v, _, _ in options)
-    provenance = tuple((rule, detail) for v, rule, detail in options if v == value)
-    return value, provenance
+    return value, tuple((rule, detail) for v, rule, detail in options if v == value)
+
+
+def best_upper(n: int, k: int) -> tuple[int, Provenance]:
+    """Minimum of all applicable upper bounds; provenance lists every rule attaining it."""
+    _check_positive(n, k)
+    options: list[tuple[int, Provenance]] = []
+    ke = known_exact(n, k)
+    if ke is not None:
+        options.append((ke[0], (("known-exact", ke[1]),)))
+    if n >= k:
+        options.append(_proved_upper(n, k))
+    value = min(v for v, _ in options)
+    return value, tuple(chain.from_iterable(p for v, p in options if v == value))
 
 
 # The bundled witnesses that no formula builds, preferred to any formula

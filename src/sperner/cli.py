@@ -97,6 +97,8 @@ def _emit(system, output: str | None, fmt: str) -> int:
 
     doc = serialize(system, fmt=fmt)
     if not output:
+        if sys.stdout is None:  # the process started with stdout closed
+            return EX_PARSE
         sys.stdout.write(doc)
         return EX_OK
     try:
@@ -203,16 +205,17 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    # stderr first, so the search's figures go out even if stdout is closed
+    # stderr and the witness file first, so both go out even if stdout is closed
     print(
         f"nodes {outcome.nodes_explored}, elapsed {outcome.elapsed:.2f}s, "
         f"root bound {outcome.root_bound}",
         file=sys.stderr,
     )
+    written = _emit(outcome.best, args.output, args.format) if args.output else EX_OK
     print(f"SP({args.n},{args.k}) search: size {outcome.size}", end=" ")
     print("(proven maximum)" if outcome.proven_optimal else "(not proven maximum)")
-    if args.output and outcome.best is not None and _emit(outcome.best, args.output, args.format):
-        return EX_USAGE
+    if written != EX_OK:
+        return written
     # --exact ignores the target, so only a proof ends it successfully
     target_met = not args.exact and args.target is not None and outcome.size >= args.target
     if outcome.proven_optimal or target_met:

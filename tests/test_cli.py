@@ -369,6 +369,16 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+def child_env(unbuffered):
+    """The environment of a CLI child process, with or without PYTHONUNBUFFERED."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize(
     "argv",
@@ -379,14 +389,12 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     ],
     ids=["bounds", "bounds-table", "search"],
 )
-def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
+def test_closed_stdout_exits_1_without_traceback(tmp_path, argv, unbuffered):
     # stdout is a pipe whose read end is closed before the CLI starts, so the
     # first write that reaches it fails whatever the pipe's buffer size
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    witness = tmp_path / "w.txt"
+    if argv[0] == "search":
+        argv = (*argv, "-o", str(witness))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -394,7 +402,7 @@ def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
             [sys.executable, "-m", "sperner.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=child_env(unbuffered),
             text=True,
             timeout=120,
         )
@@ -404,5 +412,26 @@ def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
     assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
     if argv[0] == "search":
         assert done.stderr.startswith("nodes ")
+        # the search finished, so its witness is written whatever stdout does
+        assert witness.read_text(encoding="utf-8").splitlines()[1] == "7 3 5"
     else:
         assert done.stderr == ""
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("construct", "--n", "8", "--k", "3"), ("fixtures", "emit", "fig-8-3")],
+    ids=["construct", "fixtures-emit"],
+)
+def test_stdout_closed_at_start_exits_1_silently(argv, unbuffered):
+    # fd 1 is closed when the CLI starts, so Python gives it no sys.stdout at all
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "sperner.cli", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=child_env(unbuffered),
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, "")

@@ -76,13 +76,14 @@ def restricted_growth_reference(n, k, min_size):
     return out
 
 
-def lsb_peeling_greedy(adj, num, bound):
-    """The greedy seed as written before _set_bits: candidates are peeled off P lowest bit first."""
+def lsb_peeling_greedy(adj, num, bound, within):
+    """The greedy seed inside `within` as written before _set_bits, peeling P lowest bit first."""
     best = 0
-    starts = sorted(range(num), key=lambda v: (-adj[v].bit_count(), v))[: sperner.search._GREEDY_TRIES]
+    inside = [v for v in range(num) if within >> v & 1]
+    starts = sorted(inside, key=lambda v: (-(adj[v] & within).bit_count(), v))[: sperner.search._GREEDY_TRIES]
     for s in starts:
         clique = 1 << s
-        P = adj[s]
+        P = adj[s] & within
         while P:
             tmp, pick, pick_score = P, -1, -1
             while tmp:
@@ -259,10 +260,15 @@ class TestGraph:
 
 class TestGreedySeed:
     def test_matches_lsb_peeling_loop(self):
+        # starts and scores count neighbours inside P only
+        rng = random.Random(5)
         for graph in oracle_graphs(9, 3):
-            for bound in (3, graph.num_vertices + 1):
-                got = _greedy_clique(graph.adj, bound)
-                assert got == lsb_peeling_greedy(graph.adj, graph.num_vertices, bound)
+            num = graph.num_vertices
+            for P in ((1 << num) - 1, rng.getrandbits(num), graph.adj[0]):
+                for bound in (3, num + 1):
+                    got = _greedy_clique(graph.adj, P, bound)
+                    assert got == lsb_peeling_greedy(graph.adj, num, bound, P)
+                    assert got & P == got
 
     def test_set_bits(self):
         rng = random.Random(3)
@@ -301,11 +307,14 @@ class TestColor:
                     assert list(zip(*_color(P, graph.adj, t))) == tail
 
     def test_root_bound_is_last_color(self):
-        for graph in oracle_graphs(8, 3):
+        *plain, candidate = oracle_graphs(8, 3)
+        for graph in plain:
             full = (1 << graph.num_vertices) - 1
             colors = _color(full, graph.adj)[1]
             # the target only stops the search early; the root bound comes first
             assert max_clique(graph, target=1).root_bound == colors[-1]
+        # the reduced search's stop bound is the (8,3) cap-2k2, not a coloring
+        assert max_clique(candidate, target=1).root_bound == 9
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -377,13 +386,14 @@ class TestMaxClique:
         bounds = []
         greedy = sperner.search._greedy_clique
 
-        def spy(adj, bound, *rest):
+        def spy(adj, P, bound, *rest):
             bounds.append(bound)
-            return greedy(adj, bound, *rest)
+            return greedy(adj, P, bound, *rest)
 
         monkeypatch.setattr(sperner.search, "_greedy_clique", spy)
         outcome = max_clique(build_graph(enumerate_partitions(8, 3)), target=4)
-        assert bounds == [4]  # not the root bound of 24
+        # the first root's seed: the target 4 less the root itself, not the stop bound 9 less it
+        assert bounds == [3]
         assert outcome.size >= 4
 
     def test_time_budget_returns_best_so_far(self):
@@ -477,7 +487,7 @@ class TestMaxClique:
     def test_plain_zero_budget_stops_after_the_seed(self):
         graph = CompatibilityGraph(build_graph(enumerate_partitions(8, 3)).adj)
         outcome = max_clique(graph, time_budget=0.0)
-        seed = _greedy_clique(graph.adj, outcome.root_bound, 0.0)
+        seed = _greedy_clique(graph.adj, (1 << graph.num_vertices) - 1, outcome.root_bound, 0.0)
         assert (outcome.proven_optimal, outcome.nodes_explored) == (False, 0)
         assert outcome.vertices == tuple(_set_bits(seed))
 
@@ -490,7 +500,7 @@ class TestMaxClique:
         keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="edges")
         graph = graph_from_edges(num, compress(pairs, keep))
         bound = data.draw(st.integers(0, num + 1), label="bound")
-        seed = _greedy_clique(graph.adj, bound, deadline=0.0)
+        seed = _greedy_clique(graph.adj, (1 << num) - 1, bound, deadline=0.0)
         if any(keep):
             assert seed.bit_count() >= 2
         else:
@@ -578,23 +588,27 @@ class TestReducedSearch:
     @pytest.mark.parametrize(
         "n,k,target,expected",
         [
-            # (size, proven, nodes, root bound) of the exact searches ...
-            (7, 3, None, (5, True, 9, 12)),
-            (8, 3, None, (8, True, 117, 24)),
-            (9, 3, None, (28, True, 3, 51)),
+            # (size, proven, nodes, stop bound) of the exact searches ...
+            (7, 3, None, (5, True, 9, 6)),
+            (8, 3, None, (8, True, 117, 9)),
+            (9, 3, None, (28, True, 0, 28)),
             (10, 5, None, (9, True, 0, 9)),
-            (9, 4, None, (8, True, 1925, 15)),
-            # ... and of the target searches the greedy seed settles
-            (10, 4, 9, (9, False, 0, 40)),
-            (11, 5, 9, (9, False, 0, 19)),
+            (9, 4, None, (8, True, 1463, 8)),
+            # ... and of the target searches a root's greedy seed settles
+            (10, 4, 9, (9, False, 0, 11)),
+            (11, 5, 9, (9, False, 0, 10)),
             (12, 6, 11, (11, False, 0, 11)),
-            (10, 3, 32, (32, False, 0, 91)),
+            (10, 3, 32, (32, False, 0, 46)),
         ],
     )
     def test_pinned_outcomes(self, n, k, target, expected):
         outcome = solve_sp(n, k, target=target)
         got = (outcome.size, outcome.proven_optimal, outcome.nodes_explored, outcome.root_bound)
         assert got == expected
+        # solve_sp builds each root's rows on its own; max_clique reads them off
+        # the full graph, and the two explore the same nodes to the same witness
+        whole = max_clique(build_graph(enumerate_partitions(n, k)), target=target)
+        assert whole._replace(best=None, elapsed=0) == outcome._replace(best=None, elapsed=0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_n9_matches_exact_bounds(self, k):
@@ -616,6 +630,28 @@ class TestSolveSp:
         # (11,4), about 0.41 GB, is under the cap and goes on to enumerate
         with pytest.raises(AssertionError, match="enumerated"):
             solve_sp(11, 4)
+
+    def test_holds_one_roots_rows_at_a_time(self):
+        # (11,5): 17,325 candidates, whose full adjacency takes 37.5 MB
+        count = candidate_count(11, 5)
+        tracemalloc.start()
+        try:
+            outcome = solve_sp(11, 5, target=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.size >= 9
+        assert peak < count * -(-count // 8) // 2
+
+    @pytest.mark.parametrize("n,k,stop,cited", [(7, 3, 6, 5), (10, 4, 11, 10)])
+    def test_stop_bound_leaves_out_cited_values(self, n, k, stop, cited):
+        # the bounds module cites SP(7,3) = 5 and SP(10,4) = 10 from computer
+        # searches; a search may stop at a proved bound only
+        assert sp_bounds(n, k).upper == cited
+        # a zero budget has expired by the first root, whose seed still completes
+        outcome = solve_sp(n, k, time_budget=0.0)
+        assert (outcome.root_bound, outcome.proven_optimal, outcome.nodes_explored) == (stop, False, 0)
+        assert outcome.size >= 1
 
     def test_witness_roundtrip(self):
         outcome = solve_sp(7, 3)

@@ -115,7 +115,14 @@ def test_verify_loads_formats_and_model(documents):
 
 def test_search_loads_search_and_model():
     modules = loaded("search", "--n", "7", "--k", "3", "--exact")
-    assert package_modules(modules) == {"sperner", "sperner.cli", "sperner.search", "sperner.model"}
+    # the search stops at a bound of the bounds module
+    assert package_modules(modules) == {
+        "sperner",
+        "sperner.cli",
+        "sperner.search",
+        "sperner.model",
+        "sperner.bounds",
+    }
     assert not modules & HEAVY
 
 
@@ -126,6 +133,7 @@ def test_search_witness_adds_formats(tmp_path):
         "sperner.cli",
         "sperner.search",
         "sperner.model",
+        "sperner.bounds",
         "sperner.formats",
     }
     assert not modules & HEAVY
