@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Subcommands: construct, verify, bounds, search, fixtures.  Exit codes are
-stable: 0 success, 1 parse error or a closed stdout, 2 invalid system,
-3 search budget exhausted, 64 usage error (an -o path that cannot be
-written is one).  Result output goes to stdout and is byte-stable across
-runs; timing diagnostics go to stderr.  Each handler imports the modules
-it runs, so a process loads only what its subcommand needs: bounds loads
-only the bounds module, and construct and verify never load the search.
+stable: 0 success, 1 parse error or stdout output that could not be
+delivered (the reader closed the pipe, or the process started without
+stdout), 2 invalid system, 3 search budget exhausted, 64 usage error (an
+-o path that cannot be written is one).  Result output goes to stdout and
+is byte-stable across runs; timing diagnostics go to stderr.  Each handler
+returns its exit code and stdout text, and `main` alone writes stdout.
+Each handler imports the modules it runs, so a process loads only what
+its subcommand needs: bounds loads only the bounds module, and construct
+and verify never load the search.
 """
 
 from __future__ import annotations
@@ -91,26 +94,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(system, output: str | None, fmt: str) -> int:
-    """Write the system's document to output, or to stdout; an unwritable output is a usage error."""
+def _emit(system, output: str | None, fmt: str) -> tuple[int, str]:
+    """The document as stdout text, or written to output; an unwritable output is a usage error."""
     from .formats import serialize
 
     doc = serialize(system, fmt=fmt)
     if not output:
-        if sys.stdout is None:  # the process started with stdout closed
-            return EX_PARSE
-        sys.stdout.write(doc)
-        return EX_OK
+        return EX_OK, doc
     try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(doc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    return EX_OK
+        return EX_USAGE, ""
+    return EX_OK, ""
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[int, str]:
     from .construct import construct_auto
 
     rule, requirement = _METHODS[args.method]
@@ -120,11 +120,11 @@ def _cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if requirement:
             print(f"note: --method {args.method} requires {requirement}", file=sys.stderr)
-        return EX_USAGE
+        return EX_USAGE, ""
     return _emit(system, args.output, args.format)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     from .formats import ParseError, parse
     from .model import format_report, verify_sperner
 
@@ -133,27 +133,24 @@ def _cmd_verify(args) -> int:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_PARSE
+        return EX_PARSE, ""
     except UnicodeDecodeError as exc:
         print(f"parse error: not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
-        return EX_PARSE
+        return EX_PARSE, ""
     try:
         system = parse(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EX_PARSE
+        return EX_PARSE, ""
     report = verify_sperner(system)
-    if report.valid:
-        print(format_report(system, report))
-        return EX_OK
-    if args.report:
-        print(format_report(system, report))
+    if report.valid or args.report:
+        out = format_report(system, report)
     else:
-        print(
+        out = (
             f"invalid: {len(report.violations)} violations, "
             f"{len(report.wellformed_errors)} well-formedness errors"
         )
-    return EX_INVALID
+    return (EX_OK if report.valid else EX_INVALID), out + "\n"
 
 
 def _format_bound_line(n: int, k: int) -> list[str]:
@@ -169,16 +166,16 @@ def _format_bound_line(n: int, k: int) -> list[str]:
     return lines
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[int, str]:
     from .bounds import bounds_table
 
     k = args.k
     if args.table and args.max_n is None:
         print("error: --table requires --max-n", file=sys.stderr)
-        return EX_USAGE
+        return EX_USAGE, ""
     if not args.table and args.n is None:
         print("error: --n is required without --table", file=sys.stderr)
-        return EX_USAGE
+        return EX_USAGE, ""
     try:
         if args.table:
             lines = [f"{'n':>4} {'k':>4} {'lower':>12} {'upper':>12}  status"]
@@ -189,13 +186,11 @@ def _cmd_bounds(args) -> int:
             lines = _format_bound_line(args.n, k)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    for line in lines:
-        print(line)
-    return EX_OK
+        return EX_USAGE, ""
+    return EX_OK, "".join(f"{line}\n" for line in lines)
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[int, str]:
     from .search import solve_sp
 
     try:
@@ -204,42 +199,35 @@ def _cmd_search(args) -> int:
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    # stderr and the witness file first, so both go out even if stdout is closed
+        return EX_USAGE, ""
     print(
         f"nodes {outcome.nodes_explored}, elapsed {outcome.elapsed:.2f}s, "
         f"root bound {outcome.root_bound}",
         file=sys.stderr,
     )
-    written = _emit(outcome.best, args.output, args.format) if args.output else EX_OK
-    print(f"SP({args.n},{args.k}) search: size {outcome.size}", end=" ")
-    print("(proven maximum)" if outcome.proven_optimal else "(not proven maximum)")
-    if written != EX_OK:
-        return written
+    proof = "proven maximum" if outcome.proven_optimal else "not proven maximum"
+    out = f"SP({args.n},{args.k}) search: size {outcome.size} ({proof})\n"
+    if args.output:
+        written, _ = _emit(outcome.best, args.output, args.format)
+        if written != EX_OK:
+            return written, out
     # --exact ignores the target, so only a proof ends it successfully
     target_met = not args.exact and args.target is not None and outcome.size >= args.target
-    if outcome.proven_optimal or target_met:
-        return EX_OK
-    return EX_BUDGET
+    return (EX_OK if outcome.proven_optimal or target_met else EX_BUDGET), out
 
 
-def _cmd_fixtures(args) -> int:
+def _cmd_fixtures(args) -> tuple[int, str]:
     from .fixtures import fixture_names, load_fixture
 
     if args.fixtures_command == "list":
-        for name in fixture_names():
-            system = load_fixture(name)
-            print(f"{name}: n={system.n} k={system.k} partitions={len(system)}")
-        return EX_OK
-    if args.fixtures_command == "emit":
-        if args.name not in fixture_names():
-            print(
-                f"error: unknown fixture {args.name!r}; available: {', '.join(fixture_names())}",
-                file=sys.stderr,
-            )
-            return EX_USAGE
-        return _emit(load_fixture(args.name), args.output, args.format)
-    return EX_USAGE  # pragma: no cover
+        systems = ((name, load_fixture(name)) for name in fixture_names())
+        return EX_OK, "".join(f"{name}: n={s.n} k={s.k} partitions={len(s)}\n" for name, s in systems)
+    try:
+        system = load_fixture(args.name)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EX_USAGE, ""
+    return _emit(system, args.output, args.format)
 
 
 def main(argv=None) -> int:
@@ -255,10 +243,21 @@ def main(argv=None) -> int:
         "search": _cmd_search,
         "fixtures": _cmd_fixtures,
     }
+    code, out = handlers[args.command](args)
+    if not out:
+        return code
+    if sys.stdout is None:  # the process started without stdout, so the output goes nowhere
+        return EX_PARSE
     try:
-        code = handlers[args.command](args)
-        if sys.stdout is not None:  # None when the process started without a stdout
-            sys.stdout.flush()
+        if not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
+            sys.stdout.write(out)
+            return code
+        sys.stdout.flush()
+        # bytes: the text layer drops the rest of a short write to an unbuffered stdout
+        data = memoryview(out.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data) :]
+        sys.stdout.buffer.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull, as the Python docs
         # advise, so the flush at interpreter exit cannot raise again.

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sperner import load_fixture, parse, verify_sperner
+from sperner import load_fixture, parse, serialize, verify_sperner
 from sperner.cli import main
 
 
@@ -379,39 +381,60 @@ def child_env(unbuffered):
     return env
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("bounds", "--n", "9", "--k", "4"),
-        ("bounds", "--k", "3", "--table", "--max-n", "3000"),
-        ("search", "--n", "7", "--k", "3", "--exact"),
-    ],
-    ids=["bounds", "bounds-table", "search"],
-)
-def test_closed_stdout_exits_1_without_traceback(tmp_path, argv, unbuffered):
-    # stdout is a pipe whose read end is closed before the CLI starts, so the
-    # first write that reaches it fails whatever the pipe's buffer size
-    witness = tmp_path / "w.txt"
-    if argv[0] == "search":
-        argv = (*argv, "-o", str(witness))
+def run_cli(argv, unbuffered, fd1_closed=False):
+    """Run the CLI in a child process whose stdout cannot be delivered.
+
+    stdout is either a pipe whose read end is closed before the CLI starts,
+    so the first write that reaches it fails whatever the pipe's buffer size,
+    or, with fd1_closed, no file at all: Python then gives the process no
+    sys.stdout.
+    """
+    cli = [sys.executable, "-m", "sperner.cli", *argv]
+    kwargs = dict(stderr=subprocess.PIPE, env=child_env(unbuffered), text=True, timeout=120)
+    if fd1_closed:
+        return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *cli], stdout=subprocess.DEVNULL, **kwargs)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run(
-            [sys.executable, "-m", "sperner.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=child_env(unbuffered),
-            text=True,
-            timeout=120,
-        )
+        return subprocess.run(cli, stdout=write_end, **kwargs)
     finally:
         os.close(write_end)
+
+
+PRINTING_COMMANDS = {
+    "bounds": ("bounds", "--n", "9", "--k", "4"),
+    "bounds-table": ("bounds", "--k", "3", "--table", "--max-n", "3000"),
+    "search": ("search", "--n", "7", "--k", "3", "--exact"),
+    "verify": ("verify",),
+    "fixtures-list": ("fixtures", "list"),
+    "construct": ("construct", "--n", "8", "--k", "3"),
+    "fixtures-emit": ("fixtures", "emit", "fig-8-3"),
+}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, fd1_closed",
+    [
+        pytest.param(argv, fd1_closed, id=f"{name}-fd1-closed" if fd1_closed else name)
+        for fd1_closed in (False, True)
+        for name, argv in PRINTING_COMMANDS.items()
+    ],
+)
+def test_closed_stdout_exits_1_without_traceback(tmp_path, argv, fd1_closed, unbuffered):
+    # a command whose stdout output goes nowhere fails, however stdout was closed
+    witness = tmp_path / "w.txt"
+    if argv[0] == "search":
+        argv = (*argv, "-o", str(witness))
+    if argv[0] == "verify":
+        document = tmp_path / "valid.txt"
+        document.write_text(serialize(load_fixture("fig-8-3")), encoding="utf-8")
+        argv = (*argv, str(document))
+    done = run_cli(argv, unbuffered, fd1_closed)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
     if argv[0] == "search":
-        assert done.stderr.startswith("nodes ")
+        assert done.stderr.startswith("nodes ") and done.stderr.count("\n") == 1
         # the search finished, so its witness is written whatever stdout does
         assert witness.read_text(encoding="utf-8").splitlines()[1] == "7 3 5"
     else:
@@ -419,19 +442,33 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, argv, unbuffered):
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize(
-    "argv",
-    [("construct", "--n", "8", "--k", "3"), ("fixtures", "emit", "fig-8-3")],
-    ids=["construct", "fixtures-emit"],
-)
-def test_stdout_closed_at_start_exits_1_silently(argv, unbuffered):
-    # fd 1 is closed when the CLI starts, so Python gives it no sys.stdout at all
-    done = subprocess.run(
-        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "sperner.cli", *argv],
-        stdout=subprocess.DEVNULL,
+def test_reader_closing_mid_write_exits_1(unbuffered):
+    # 2.5 MB of table, far more than a pipe buffers, to a reader that leaves
+    # after 10 bytes: the write is cut short, which an unbuffered stdout's
+    # text layer does not report
+    with subprocess.Popen(
+        [sys.executable, "-m", "sperner.cli", "bounds", "--k", "3", "--table", "--max-n", "3000"],
+        stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=child_env(unbuffered),
-        text=True,
-        timeout=120,
-    )
-    assert (done.returncode, done.stderr) == (1, "")
+    ) as child:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        assert child.wait(timeout=120) == 1
+        assert child.stderr.read() == b""
+
+
+def test_text_only_stdout_gets_the_output():
+    # an in-process caller may swap sys.stdout for a stream with no binary layer
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["bounds", "--n", "9", "--k", "4"])
+    assert (code, out.getvalue().splitlines()[0]) == (0, "SP(9,4): lower 8, upper 8 (exact)")
+
+
+def test_construct_to_file_succeeds_without_stdout(tmp_path):
+    # nothing goes to stdout, so a missing stdout costs the command nothing
+    target = tmp_path / "c.txt"
+    done = run_cli(("construct", "--n", "8", "--k", "3", "-o", str(target)), False, fd1_closed=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert verify_sperner(parse(target.read_text(encoding="utf-8"))).valid

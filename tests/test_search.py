@@ -416,7 +416,7 @@ class TestMaxClique:
         assert peak < row_bytes // 4
 
     def test_symmetry_reduction_matches_default(self):
-        # solve_sp's graph carries its candidates and is reduced; without them it is not
+        # solve_sp runs the reduced search; a graph without its candidates runs the plain one
         for n, k in GRID_8:
             reduced = solve_sp(n, k)
             plain = max_clique(CompatibilityGraph(build_graph(enumerate_partitions(n, k)).adj))
