@@ -18,7 +18,7 @@ rules that build a system, so the two cannot drift apart.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, groupby
+from itertools import groupby
 from math import comb
 from typing import NamedTuple
 
@@ -73,6 +73,14 @@ def counting_upper_bound(n: int, k: int) -> int:
     return numerator // denominator
 
 
+# The exact values that rest on computer searches rather than on a proof:
+# the bounds module cites them, but the exact search never stops at them.
+_COMPUTER_SEARCHES = {
+    (7, 3): (5, "known exact value SP(7,3) = 5"),
+    (10, 4): (10, "known exact value SP(10,4) = 10 (computer search)"),
+}
+
+
 def known_exact(n: int, k: int) -> tuple[int, str] | None:
     """Exact value of SP(n, k) when one is known, with a citation string."""
     _check_positive(n, k)
@@ -95,10 +103,8 @@ def known_exact(n: int, k: int) -> tuple[int, str] | None:
             candidates.append(
                 (2 * k, "rotational construction meets the 2k cap for n = 2k+1, k even")
             )
-        if (n, k) == (7, 3):
-            candidates.append((5, "known exact value SP(7,3) = 5"))
-        if (n, k) == (10, 4):
-            candidates.append((10, "known exact value SP(10,4) = 10 (computer search)"))
+        if (n, k) in _COMPUTER_SEARCHES:
+            candidates.append(_COMPUTER_SEARCHES[n, k])
     if not candidates:
         return None
     values = {v for v, _ in candidates}
@@ -107,22 +113,20 @@ def known_exact(n: int, k: int) -> tuple[int, str] | None:
     return candidates[0]
 
 
-def _proved_upper(n: int, k: int) -> tuple[int, Provenance]:
-    """Least of the proved upper bounds, with every rule attaining it; requires n >= k.
+def _least_upper(n: int, k: int, cited: bool) -> tuple[int, Provenance]:
+    """Least upper bound over one option list, with every rule attaining it.
 
-    These are the counting bound and the 2k+1 and 2k+2 caps.  known_exact
-    is left out: it cites computer searches (SP(7,3) = 5, SP(10,4) = 10)
-    that are no proof here, and its other values equal the counting bound
-    (k | n) or cap-2k1 (n = 2k+1, k even).  The exact search stops at this
-    bound.
+    The options are known-exact, the counting bound and the 2k+1 and 2k+2
+    caps; cited=False leaves out the _COMPUTER_SEARCHES values, and only those.
     """
-    options = [
-        (
-            counting_upper_bound(n, k),
-            "counting-bound",
-            "floor of C(n,ell)*(n-ell) / ((k-r)*(n-ell) + r*(ell+1))",
-        )
-    ]
+    _check_positive(n, k)
+    options: list[tuple[int, str, str]] = []
+    ke = known_exact(n, k)
+    if ke is not None and (cited or (n, k) not in _COMPUTER_SEARCHES):
+        options.append((ke[0], "known-exact", ke[1]))
+    if n >= k:
+        detail = "floor of C(n,ell)*(n-ell) / ((k-r)*(n-ell) + r*(ell+1))"
+        options.append((counting_upper_bound(n, k), "counting-bound", detail))
     if n == 2 * k + 1:
         options.append((2 * k, "cap-2k1", "at most 2k partitions on a (2k+1)-set"))
     if n == 2 * k + 2 and k >= 3:
@@ -133,15 +137,12 @@ def _proved_upper(n: int, k: int) -> tuple[int, Provenance]:
 
 def best_upper(n: int, k: int) -> tuple[int, Provenance]:
     """Minimum of all applicable upper bounds; provenance lists every rule attaining it."""
-    _check_positive(n, k)
-    options: list[tuple[int, Provenance]] = []
-    ke = known_exact(n, k)
-    if ke is not None:
-        options.append((ke[0], (("known-exact", ke[1]),)))
-    if n >= k:
-        options.append(_proved_upper(n, k))
-    value = min(v for v, _ in options)
-    return value, tuple(chain.from_iterable(p for v, p in options if v == value))
+    return _least_upper(n, k, cited=True)
+
+
+def _proved_upper(n: int, k: int) -> tuple[int, Provenance]:
+    """The exact search's stop bound: best_upper less the values that rest on computer searches."""
+    return _least_upper(n, k, cited=False)
 
 
 # The bundled witnesses that no formula builds, preferred to any formula

@@ -169,8 +169,6 @@ def _extend(base: PartitionSystem) -> PartitionSystem:
 
 def _trivial_system(n: int, k: int) -> PartitionSystem:
     """One partition: k-1 singletons would be wasteful, so pair up what we can."""
-    if n < k:
-        raise ValueError("no k-partition of an n-set exists when n < k")
     sizes = [1] * k
     for i in range(n - k):
         sizes[i % k] += 1

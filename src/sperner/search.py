@@ -23,11 +23,12 @@ packs them into few color classes, which is what makes the dense instances
 tractable (the whole (9,4) graph gets 15 colors this way).  Coloring
 below the pruning threshold is not recorded, only the vertices that can
 still extend the incumbent are.  One engine, _clique_search, runs every
-search as a sequence of units, each colored, seeded greedily and then
-branched on.  The plain search has one unit, the whole graph, whose top
-color is its stop bound.  Every new incumbent, a greedy seed first, meets
-one stop rule: a met target stops the search unproven, the stop bound
-stops it proven.
+search as a sequence of units (P, root), each colored, seeded greedily and
+then branched on.  The plain search has one unit, the whole graph, whose
+top color is its stop bound.  Every new incumbent, a greedy seed first,
+meets one stop rule: the search stops once it reaches the target or the
+stop bound, whichever is less, and is proven exactly when it is short of
+the target.
 
 A graph that carries its full candidate set also gets the symmetry of
 the problem.  Every k-partition with classes of at least 2 elements is
@@ -43,9 +44,10 @@ are visited one after another and each is dropped once searched; since
 every group is invariant, the moved clique avoids the dropped groups
 too, so the pruning loses no maximum.  Each
 root is a unit that only ever reads the rows of its neighbourhood, so
-solve_sp builds those rows one root at a time and never the whole graph,
-and the stop bound is the least proved upper bound on SP(n, k) from the
-bounds module.  Any other graph gets the plain search, and
+solve_sp builds those rows one root at a time and never the whole graph.
+The stop bound is bounds._proved_upper, the upper bound that sp_bounds
+prints less the two values it cites from computer searches, SP(7,3) = 5
+and SP(10,4) = 10.  Any other graph gets the plain search, and
 CompatibilityGraph(graph.adj) runs it on a candidate graph.
 """
 
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import time
 from itertools import combinations, compress
-from math import isnan
+from math import inf, isnan
 from typing import NamedTuple
 
 from .bounds import _proved_upper
@@ -85,8 +87,9 @@ class SearchOutcome(NamedTuple):
     """Result of a clique search; best is None for graphs without candidates attached.
 
     root_bound is the bound that stops the search proven: the top color of
-    the whole graph on the plain path, the least proved upper bound on
-    SP(n, k) on the reduced one.
+    the whole graph on the plain path, and on the reduced one the upper
+    bound on SP(n, k) that sp_bounds prints, less the two values it cites
+    from computer searches (bounds._proved_upper).
     """
 
     best: PartitionSystem | None
@@ -205,18 +208,20 @@ def _blocked(classes: tuple[int, ...], conflict: dict[int, int]) -> int:
     return blocked
 
 
+def _adjacency(masks_list: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """One row per partition's class masks: the complement of the union of its classes' conflicts."""
+    conflict = _conflicts(masks_list)
+    full = (1 << len(masks_list)) - 1
+    return tuple([full ^ _blocked(classes, conflict) for classes in masks_list])
+
+
 def build_graph(candidates: PartitionSystem) -> CompatibilityGraph:
     """Adjacency from the class-containment index rather than pairwise scans.
 
     Vertices conflict iff they share a class or one has a class properly
-    inside a class of the other; everything else is an edge.  Each row is
-    the complement of the union of its classes' conflict masks (_conflicts).
+    inside a class of the other; everything else is an edge (_adjacency).
     """
-    masks_list = [p.classes for p in candidates.partitions]
-    conflict = _conflicts(masks_list)
-    full = (1 << len(masks_list)) - 1
-    adj = tuple([full ^ _blocked(classes, conflict) for classes in masks_list])
-    return CompatibilityGraph(adj, candidates)
+    return CompatibilityGraph(_adjacency([p.classes for p in candidates.partitions]), candidates)
 
 
 def _color(P: int, adj, threshold: int = 0) -> tuple[list[int], list[int]]:
@@ -265,7 +270,7 @@ def _set_bits(P: int) -> list[int]:
 _GREEDY_TRIES = 24
 
 
-def _greedy_clique(adj, P: int, bound: int, deadline: float | None = None) -> int:
+def _greedy_clique(adj, P: int, bound: int, deadline: float = inf) -> int:
     """Deterministic greedy lower bound: best clique mask inside P over a few dense seeds.
 
     Starts are P's vertices of most neighbours in P, and each step picks
@@ -289,7 +294,7 @@ def _greedy_clique(adj, P: int, bound: int, deadline: float | None = None) -> in
             Q &= adj[pick]
         if clique.bit_count() > best.bit_count():
             best = clique
-        if best.bit_count() >= bound or (deadline is not None and time.perf_counter() > deadline):
+        if best.bit_count() >= bound or time.perf_counter() > deadline:
             break
     return best
 
@@ -330,51 +335,58 @@ class _Stop(Exception):
         self.proven = proven
 
 
-def _roots(classes: list[tuple[int, ...]], neighbourhood) -> list[tuple[int, int, int]]:
-    """The reduced search's roots as (R, N(R), shape), largest N(R) first, ties by index.
+def _roots(classes: list[tuple[int, ...]], neighbourhood) -> list[tuple[int, int]]:
+    """The reduced search's units (P, R), largest N(R) first, ties by index.
 
-    R is the first candidate of its class-size shape, an orbit of S_n, and
-    shape is the mask of that orbit's candidates; neighbourhood(R) gives
-    N(R) as a mask over the candidates.
+    R is the first candidate of its class-size shape, an orbit of S_n;
+    neighbourhood(R) gives N(R) as a mask over the candidates, and P is
+    N(R) less the shapes of the roots before R.
     """
     shapes: dict[tuple[int, ...], list[int]] = {}
     for v, c in enumerate(classes):
         # classes are in canonical order, by size, so their sizes name the shape
         shapes.setdefault(tuple(map(int.bit_count, c)), []).append(v)
-    roots = [(vs[0], neighbourhood(vs[0]), _mask(vs, len(classes))) for vs in shapes.values()]
-    roots.sort(key=lambda root: (-root[1].bit_count(), root[0]))
-    return roots
-
-
-def _root_units(roots, classes, rows, deadline: float | None):
-    """One search unit per root: rows(P) is (adj, P, classes, members) for P = N(R) less the shapes visited.
-
-    P is given over the candidates; rows may renumber its vertices, and
-    members[i] is then the candidate of local vertex i (None keeps the
-    numbering).  Each unit comes with R and R's classes.  Before every
-    root but the first the clock is polled, so an expired budget builds no
-    further rows.
-    """
-    alive = (1 << len(classes)) - 1
-    for i, (r, nbhd, shape) in enumerate(roots):
-        if i and deadline is not None and time.perf_counter() > deadline:
-            raise _Stop(False)
-        yield (*rows(nbhd & alive), r, classes[r])
+    roots = [(neighbourhood(vs[0]), vs[0], _mask(vs, len(classes))) for vs in shapes.values()]
+    roots.sort(key=lambda root: (-root[0].bit_count(), root[1]))
+    units, alive = [], (1 << len(classes)) - 1
+    for nbhd, r, shape in roots:
+        units.append((nbhd & alive, r))
         alive ^= shape
+    return units
 
 
-def _clique_search(units, bound: int | None, target, deadline, cand, t0: float) -> SearchOutcome:
-    """Branch and bound over units (adj, P, classes, members, root, fixed); the one search engine.
+def _start(time_budget: float | None, target: int | None) -> tuple[float, float, float]:
+    """Start the clock: (t0, deadline, target), a missing budget or target being inf.
 
-    A unit searches the cliques of adj inside P, with root, if not None,
-    added to each.  It is colored first (_color) and skipped when that
-    cannot beat the incumbent; otherwise the greedy seed runs inside P, the
-    clock is polled once, and the unit branches: the plain search expands
-    on its coloring, a root groups P by _orbit_key(fixed, ...) (grouped).
-    bound None takes the first unit's top color as the bound (the plain
-    search's one unit is the whole graph).  Every new incumbent meets one
-    stop rule: a met target stops the search unproven, the bound stops it
-    proven.
+    A NaN budget, which no clock reading would ever pass, or a NaN target,
+    which would switch the stop bound off, raises ValueError.
+    """
+    t0 = time.perf_counter()
+    if time_budget is not None and isnan(time_budget):
+        raise ValueError("the time budget is NaN; give a number of seconds")
+    if target is not None and isnan(target):
+        raise ValueError("the target is NaN; give a number of partitions")
+    return t0, inf if time_budget is None else t0 + time_budget, inf if target is None else target
+
+
+def _clique_search(
+    units, rows, bound: int | None, target: float, deadline: float, cand, t0: float
+) -> SearchOutcome:
+    """Branch and bound over units (P, root); the one search engine.
+
+    rows(P) gives a unit's (adj, P, classes, members): the adjacency rows,
+    P in their numbering, the class masks of each row's candidate, and
+    members[i], the candidate of row i (None keeps the numbering).  A unit
+    searches the cliques of adj inside P, with root, if not None, added to
+    each.  Before every unit but the first the clock is polled, so an
+    expired budget builds no further rows.  A unit is colored (_color) and
+    skipped when that cannot beat the incumbent; otherwise the greedy seed
+    runs inside P, the clock is polled once, and the unit branches: the
+    plain search expands on its coloring, a root groups P by _orbit_key
+    over its own classes (grouped).  bound None takes the first unit's top
+    color as the bound (the plain search's one unit is the whole graph).
+    Every new incumbent meets one stop rule, best >= min(target, bound),
+    and the search is proven exactly when best < target.
     """
     best = nodes = 0
     best_vertices: tuple[int, ...] = ()
@@ -387,17 +399,15 @@ def _clique_search(units, bound: int | None, target, deadline, cand, t0: float) 
         if root is not None:
             vertices.append(root)
         best, best_vertices = size, tuple(sorted(vertices))
-        if target is not None and best >= target:
-            raise _Stop(False)
-        if best >= bound:
-            raise _Stop(True)
+        if best >= min(target, bound):
+            raise _Stop(best < target)
 
     def expand(size: int, clique: int, P: int, coloring=None) -> None:
         """Branch on P's vertices, highest color first; a unit passes its coloring."""
         nonlocal nodes
         if coloring is None:
             nodes += 1
-            if deadline is not None and nodes % 2048 == 0 and time.perf_counter() > deadline:
+            if nodes % 2048 == 0 and time.perf_counter() > deadline:
                 raise _Stop(False)
             coloring = _color(P, adj, best - size)
         order, colors = coloring
@@ -414,21 +424,22 @@ def _clique_search(units, bound: int | None, target, deadline, cand, t0: float) 
                 expand(size + 1, extended, P2)
             P &= ~bit
 
-    def grouped(P: int, coloring, fixed: tuple[int, ...]) -> None:
-        """Depth 2: group P by _orbit_key(fixed, ...); branch on each group's first vertex, then drop it.
+    def grouped(P: int, coloring) -> None:
+        """Depth 2: group P by the root's _orbit_key; branch on each group's first vertex, then drop it.
 
         coloring is _color(P, adj).  Groups go in descending order of their
         highest greedy color, so the color bound prunes the rest as in
         expand.  A pair {root, v} never improves the incumbent: the first
         unit with a vertex in P has a seed of at least that vertex.
         """
+        fixed = cand.partitions[root].classes
         groups: dict = {}
         top: dict = {}
         for seen, (v, color) in enumerate(zip(*coloring), 1):
             g = _orbit_key(fixed, classes[v])
             groups[g] = groups.get(g, 0) | (1 << v)
             top[g] = color
-            if deadline is not None and seen % 256 == 0 and time.perf_counter() > deadline:
+            if seen % 256 == 0 and time.perf_counter() > deadline:
                 raise _Stop(False)
         for g in sorted(groups, key=top.__getitem__, reverse=True):
             if 1 + top[g] <= best:
@@ -441,23 +452,25 @@ def _clique_search(units, bound: int | None, target, deadline, cand, t0: float) 
             P &= ~group
 
     try:
-        for adj, P, classes, members, root, fixed in units:
+        for i, (P, root) in enumerate(units):
+            if i and time.perf_counter() > deadline:
+                raise _Stop(False)
+            adj, P, classes, members = rows(P)
             base = int(root is not None)
             coloring = _color(P, adj)
             top = coloring[1][-1] if P else 0
             if bound is None:
                 bound = top
             if base + top > best:
-                cap = bound if target is None else min(target, bound)
-                seed = _greedy_clique(adj, P, cap - base, deadline)
+                seed = _greedy_clique(adj, P, min(target, bound) - base, deadline)
                 if base + seed.bit_count() > best:
                     improve(base + seed.bit_count(), seed)
-                if deadline is not None and time.perf_counter() > deadline:
+                if time.perf_counter() > deadline:
                     raise _Stop(False)
-                if fixed is None:
+                if root is None:
                     expand(0, 0, P, coloring)
                 else:
-                    grouped(P, coloring, fixed)
+                    grouped(P, coloring)
             # free this unit's rows before the next unit builds its own
             adj = classes = members = coloring = None
         proven = True
@@ -493,34 +506,22 @@ def max_clique(
     meets the target), and reaching the stop bound stops it, proven.  An
     expired time budget returns the best clique found so far; the clock is
     polled after each seed, then every 2048 nodes and, on the reduced path,
-    before each root after the first and every 256 grouped vertices.
+    before each root after the first and every 256 grouped vertices.  A NaN
+    time_budget or target raises ValueError (see _start).
 
     The graph picks the path.  A graph whose candidates are a full
-    candidate set, closed under relabeling the ground set (see
-    _is_candidate_set), gets the reduced search.  Its stop bound, reported
-    as root_bound, is the least proved upper bound on SP(n, k)
-    (bounds._proved_upper: the counting bound and the 2k+1 and 2k+2 caps),
-    and it prunes at two levels:
-
-    * Root: branch only on the first candidate R of each class-size shape,
-      then drop that whole shape from the later roots.  Shapes are the
-      orbits of S_n, so any clique can be relabeled to contain the
-      representative of its earliest visited shape and no shape visited
-      before it.  Roots go in descending order of |N(R)|, ties by index.
-      Each root colors P, its neighbourhood N(R) less the dropped shapes,
-      and is skipped when 1 plus the top color cannot beat the incumbent;
-      otherwise the greedy seed runs inside P.
-    * Depth 2: under root R, group P by _orbit_key, branch only on each
-      group's first member, then drop the group.  The groups are exactly
-      the orbits of the relabelings that fix every class of R; those fix R
-      and its candidate set, so the same argument holds.  Groups go in
-      descending order of the highest greedy color among their members, so
-      once 1 plus that color cannot beat the incumbent, no later group can
-      either.
-
-    A root reads the graph's own rows, P being adj[R] less the dropped
-    shapes, so no row is copied.  solve_sp builds the same rows one root at
-    a time and explores the same nodes.
+    candidate set (_is_candidate_set) gets the reduced search of the module
+    docstring.  Its stop bound, reported as root_bound, is the least proved
+    upper bound on SP(n, k), bounds._proved_upper: the bounds module's
+    upper bound less the two values it cites from computer searches.  Roots
+    go in descending order of |N(R)|, ties by index.  Each colors P, N(R)
+    less the shapes already visited, read off the graph's own rows, and is
+    skipped when 1 plus the top color cannot beat the incumbent; otherwise
+    the greedy seed runs inside P.  Under a root, groups go in descending
+    order of the highest greedy color among their members, so once 1 plus
+    that color cannot beat the incumbent, no later group can either.
+    solve_sp builds the same rows one root at a time and explores the same
+    nodes.
 
     Any other graph gets the plain search: it colors the whole graph once,
     the top color is the stop bound, and it branches on that coloring as on
@@ -528,16 +529,14 @@ def max_clique(
     as a cross-check, pass CompatibilityGraph(graph.adj).
     symmetry_reduction is ignored; it stays for callers that still pass it.
     """
-    t0 = time.perf_counter()
-    deadline = t0 + time_budget if time_budget is not None else None
+    t0, deadline, target = _start(time_budget, target)
     adj, cand = graph.adj, graph.candidates
-    if not _is_candidate_set(cand):
-        units = [(adj, (1 << len(adj)) - 1, None, None, None, None)]
-        return _clique_search(units, None, target, deadline, cand, t0)
-    classes = [p.classes for p in cand.partitions]
-    roots = _roots(classes, adj.__getitem__)
-    units = _root_units(roots, classes, lambda P: (adj, P, classes, None), deadline)
-    return _clique_search(units, _proved_upper(cand.n, cand.k)[0], target, deadline, cand, t0)
+    if _is_candidate_set(cand):
+        classes = [p.classes for p in cand.partitions]
+        units, bound = _roots(classes, adj.__getitem__), _proved_upper(cand.n, cand.k)[0]
+    else:
+        classes, units, bound = None, [((1 << len(adj)) - 1, None)], None
+    return _clique_search(units, lambda P: (adj, P, classes, None), bound, target, deadline, cand, t0)
 
 
 # The largest search solve_sp admits, counted as the full adjacency of its
@@ -560,19 +559,17 @@ def solve_sp(
     """Enumerate candidates, run the reduced search one root at a time, verify the witness.
 
     It never builds the full graph.  N(R) of each root comes from the
-    per-class conflict masks, and the rows of P (see max_clique) are
-    build_graph of that sub-system, freed before the next root's.  The
-    search is the one max_clique(build_graph(enumerate_partitions(n, k)))
-    runs, with the same nodes; max_clique(CompatibilityGraph(graph.adj)) is
-    the plain one.  The clock starts here, so enumeration and the rows
-    count against time_budget; the first root's seed always completes.  A
-    search whose full adjacency would exceed MAX_ADJ_BYTES, or a NaN
-    time_budget (no deadline would ever pass), raises ValueError before
-    anything is enumerated.
+    per-class conflict masks, and the rows of P (see max_clique) come from
+    build_graph's row routine over P's class masks, freed before the next
+    root's.  The search is the one
+    max_clique(build_graph(enumerate_partitions(n, k))) runs, with the same
+    nodes; max_clique(CompatibilityGraph(graph.adj)) is the plain one.  The
+    clock starts here, so enumeration and the rows count against
+    time_budget; the first root's seed always completes.  A search whose
+    full adjacency would exceed MAX_ADJ_BYTES, or a NaN time_budget or
+    target (see _start), raises ValueError before anything is enumerated.
     """
-    t0 = time.perf_counter()
-    if time_budget is not None and isnan(time_budget):
-        raise ValueError("the time budget is NaN; give a number of seconds")
+    t0, deadline, target = _start(time_budget, target)
     count = candidate_count(n, k)
     adj_bytes = count * -(-count // 8)
     if adj_bytes > MAX_ADJ_BYTES:
@@ -580,23 +577,19 @@ def solve_sp(
             f"the search has {count:,} candidates, whose adjacency takes {adj_bytes:,} bytes, "
             f"over the cap of {MAX_ADJ_BYTES:,}"
         )
-    deadline = t0 + time_budget if time_budget is not None else None
     candidates = enumerate_partitions(n, k)
-    parts = candidates.partitions
-    classes = [p.classes for p in parts]
-    full = (1 << len(parts)) - 1
+    classes = [p.classes for p in candidates.partitions]
+    full = (1 << len(classes)) - 1
     conflict = _conflicts(classes)
-    roots = _roots(classes, lambda r: full ^ _blocked(classes[r], conflict))
+    units = _roots(classes, lambda r: full ^ _blocked(classes[r], conflict))
     del conflict  # the roots' neighbourhoods are all the search needs of it
 
     def rows(P: int):
         members = _set_bits(P)
-        sub = [parts[v] for v in members]
-        adj = build_graph(PartitionSystem(n, k, sub)).adj
-        return adj, (1 << len(members)) - 1, [p.classes for p in sub], members
+        sub = [classes[v] for v in members]
+        return _adjacency(sub), (1 << len(members)) - 1, sub, members
 
-    units = _root_units(roots, classes, rows, deadline)
-    outcome = _clique_search(units, _proved_upper(n, k)[0], target, deadline, candidates, t0)
+    outcome = _clique_search(units, rows, _proved_upper(n, k)[0], target, deadline, candidates, t0)
     assert outcome.best is not None
     report = verify_sperner(outcome.best)
     if not report.valid:

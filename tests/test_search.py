@@ -21,6 +21,7 @@ from sperner import (
     sp_bounds,
     verify_sperner,
 )
+from sperner.bounds import _proved_upper
 from sperner.model import Partition, PartitionSystem
 from sperner.search import _color, _greedy_clique, _orbit_key, _set_bits
 
@@ -516,6 +517,33 @@ class TestMaxClique:
         assert outcome.size >= 1
         assert elapsed < 0.35, elapsed
 
+    def test_nan_budget_is_refused_by_both_entry_points(self):
+        # no clock reading is greater than NaN, so the budget would never expire
+        graph = build_graph(enumerate_partitions(7, 3))
+        nan = float("nan")
+        for search in (lambda: max_clique(graph, time_budget=nan), lambda: solve_sp(7, 3, time_budget=nan)):
+            with pytest.raises(ValueError, match="^the time budget is NaN; give a number of seconds$"):
+                search()
+        # min(NaN, bound) is NaN, so a NaN target would keep the stop bound from stopping the search
+        for search in (lambda: max_clique(graph, target=nan), lambda: solve_sp(7, 3, target=nan)):
+            with pytest.raises(ValueError, match="^the target is NaN; give a number of partitions$"):
+                search()
+
+
+class FakeClock:
+    """Stands in for the time module in sperner.search: reads 0.0 before its late-th reading, then 1.0."""
+
+    def __init__(self):
+        self.rerun(None)
+
+    def perf_counter(self):
+        self.reads += 1
+        return 1.0 if self.late is not None and self.reads >= self.late else 0.0
+
+    def rerun(self, late):
+        """Start over, reading late (past a budget of 0.5 s) from the late-th reading on."""
+        self.reads, self.late = 0, late
+
 
 def stabilizer_orbits(root, candidates):
     """Orbits of the candidates under all relabelings fixing every class of root."""
@@ -599,6 +627,10 @@ class TestReducedSearch:
             (11, 5, 9, (9, False, 0, 10)),
             (12, 6, 11, (11, False, 0, 11)),
             (10, 3, 32, (32, False, 0, 46)),
+            # SP(n, 2) = C(n-1, (n-3)/2) for odd n is proved, so it stops the
+            # search, and the first root's greedy seed meets it
+            (9, 2, None, (56, True, 0, 56)),
+            (11, 2, None, (210, True, 0, 210)),
         ],
     )
     def test_pinned_outcomes(self, n, k, target, expected):
@@ -668,3 +700,52 @@ class TestSolveSp:
             everything = PartitionSystem(n, k, restricted_growth_reference(n, k, 1))
             assert min(min(p.sizes) for p in everything.partitions) == 1
             assert assert_plain(build_graph(everything)).size == solve_sp(n, k).size, (n, k)
+
+    def test_stop_bound_is_the_printed_upper_bound_less_cited_values(self):
+        for k in range(1, 13):
+            for n in range(2 * k, 61):
+                if (n, k) not in [(7, 3), (10, 4)]:
+                    assert _proved_upper(n, k)[0] == sp_bounds(n, k).upper, (n, k)
+
+    def test_budget_expiring_after_the_first_root_builds_no_later_rows(self, monkeypatch):
+        clock, built = FakeClock(), []
+        adjacency = sperner.search._adjacency
+
+        def spy(masks_list):
+            built.append(clock.reads)
+            return adjacency(masks_list)
+
+        monkeypatch.setattr(sperner.search, "time", clock)
+        monkeypatch.setattr(sperner.search, "_adjacency", spy)
+        whole = solve_sp(8, 3, time_budget=0.5)
+        assert whole.proven_optimal and len(built) == 2  # (8,3) has two roots
+        # the last reading before the second root's rows is the poll before that root
+        poll = built[1]
+        clock.rerun(poll)
+        built.clear()
+        outcome = solve_sp(8, 3, time_budget=0.5)
+        assert len(built) == 1 and clock.reads == poll + 1  # the one reading after it: elapsed
+        assert not outcome.proven_optimal
+        # the first root's incumbent is the maximum; the second root's node goes unexplored
+        assert (outcome.size, outcome.vertices) == (whole.size, whole.vertices) and outcome.size == 8
+        assert outcome.nodes_explored == whole.nodes_explored - 1 == 116
+
+    def test_budget_expiring_after_the_seed_stops_before_any_branch(self, monkeypatch):
+        clock, seeded = FakeClock(), []
+        greedy = sperner.search._greedy_clique
+
+        def spy(*args):
+            seed = greedy(*args)
+            seeded.append((clock.reads, seed.bit_count()))
+            return seed
+
+        monkeypatch.setattr(sperner.search, "time", clock)
+        monkeypatch.setattr(sperner.search, "_greedy_clique", spy)
+        assert solve_sp(9, 4, time_budget=0.5).nodes_explored == 1463
+        # (9,4) has one root, of 588 vertices: the first reading after the
+        # seed's poll is the grouping's, at its 256th vertex
+        (read, seed_size), = seeded
+        clock.rerun(read + 2)
+        outcome = solve_sp(9, 4, time_budget=0.5)
+        assert clock.reads == read + 3
+        assert (outcome.size, outcome.proven_optimal, outcome.nodes_explored) == (1 + seed_size, False, 0)
