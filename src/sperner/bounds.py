@@ -11,7 +11,7 @@ then has a singleton class, and a singleton is comparable with whichever
 class of another partition contains its element).
 
 The lower bounds come from one rule table and one dynamic program
-(derivation); construct.plan_construction runs the same program over the
+(derivation); construct.construct_auto builds its derivation over the
 rules that build a system, so the two cannot drift apart.
 """
 

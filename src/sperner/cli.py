@@ -176,6 +176,12 @@ def _cmd_bounds(args) -> tuple[int, str]:
     if not args.table and args.n is None:
         print("error: --n is required without --table", file=sys.stderr)
         return EX_USAGE, ""
+    # SP(n, 2) outgrows Python's default 4300-digit int-to-str limit near
+    # n = 14,300: lift the limit (0) while writing, and restore it after,
+    # since main also runs in-process.  Python before 3.10.7 has none.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
     try:
         if args.table:
             lines = [f"{'n':>4} {'k':>4} {'lower':>12} {'upper':>12}  status"]
@@ -187,6 +193,8 @@ def _cmd_bounds(args) -> tuple[int, str]:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE, ""
+    finally:
+        set_limit(limit)
     return EX_OK, "".join(f"{line}\n" for line in lines)
 
 

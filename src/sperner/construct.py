@@ -9,9 +9,9 @@ odd n; latin_lift and extend_by_one grow existing systems.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, pairwise
 
-from .bounds import FIXTURES, derivation
+from .bounds import FIXTURES, Step, derivation
 from .fixtures import load_fixture
 from .model import Partition, PartitionSystem, verify_sperner
 from .rotation import InitialPartition, develop, solve_initial_2k1
@@ -168,17 +168,33 @@ def _extend(base: PartitionSystem) -> PartitionSystem:
 
 
 def _trivial_system(n: int, k: int) -> PartitionSystem:
-    """One partition: k-1 singletons would be wasteful, so pair up what we can."""
-    sizes = [1] * k
-    for i in range(n - k):
-        sizes[i % k] += 1
-    classes = []
-    start = 0
-    for s in sizes:
-        classes.append(list(range(start, start + s)))
-        start += s
-    part = Partition(n, classes, k)
+    """One almost uniform partition: k runs of consecutive elements, the larger runs first."""
+    ell, r = divmod(n, k)
+    starts = [i * ell + min(i, r) for i in range(k + 1)]
+    part = Partition(n, [range(a, b) for a, b in pairwise(starts)], k)
     return _verified(PartitionSystem(n, k, [part], name=f"single({n},{k})"))
+
+
+# The builder of each base rule of the bounds rule table, called with the
+# (n, k) of the derivation's last step; every step above it is a
+# latin-lift or an extend of the system below.
+_BASES = {
+    "fixture": lambda n, k: _verified(load_fixture(FIXTURES[n, k][0])),
+    "k2": lambda n, k: construct_k2(n),
+    "rotational-2k1": lambda n, k: construct_2k1(k),
+    "rotational-2k2": lambda n, k: construct_2k2(k),
+    "rotational-3k1": lambda n, k: construct_3k1(k),
+    "trivial": _trivial_system,
+}
+
+
+def _plan(n: int, k: int, first: str | None) -> list[Step]:
+    """The buildable derivation of (n, k), top step first (see bounds.derivation)."""
+    if k < 1:
+        raise ValueError(f"k = {k}: a k-partition needs k >= 1 classes")
+    if n < k:
+        raise ValueError("no k-partition of an n-set exists when n < k")
+    return derivation(n, k, buildable=True, first=first)
 
 
 def plan_construction(n: int, k: int, first: str | None = None) -> tuple[int, tuple[str, ...]]:
@@ -189,33 +205,8 @@ def plan_construction(n: int, k: int, first: str | None = None) -> tuple[int, tu
     (45, ("latin-lift", "latin-lift", "fixture")), two lifts of fig-7-3.
     first forces the top step, as in bounds.derivation.
     """
-    if k < 1:
-        raise ValueError(f"k = {k}: a k-partition needs k >= 1 classes")
-    if n < k:
-        raise ValueError("no k-partition of an n-set exists when n < k")
-    chain = derivation(n, k, buildable=True, first=first)
+    chain = _plan(n, k, first)
     return chain[0].value, tuple(step.rule for step in chain)
-
-
-def _materialize(n: int, k: int, route: tuple[str, ...]) -> PartitionSystem:
-    rule, rest = route[0], route[1:]
-    if rule == "latin-lift":
-        return _lift(_materialize(n - k, k, rest))
-    if rule == "extend":
-        return _extend(_materialize(n - 1, k, rest))
-    if rule == "fixture":
-        return _verified(load_fixture(FIXTURES[n, k][0]))
-    if rule == "k2":
-        return construct_k2(n)
-    if rule == "rotational-2k1":
-        return construct_2k1(k)
-    if rule == "rotational-2k2":
-        return construct_2k2(k)
-    if rule == "rotational-3k1":
-        return construct_3k1(k)
-    if rule == "trivial":
-        return _trivial_system(n, k)
-    raise ValueError(f"unknown construction route {route!r}")
 
 
 # The largest planned system construct_auto builds.  Building costs about
@@ -229,18 +220,24 @@ MAX_PARTITIONS = 1_000_000
 def construct_auto(n: int, k: int, first: str | None = None) -> PartitionSystem:
     """Build the largest system the implemented constructions guarantee for (n, k).
 
-    first forces the top step of the route.  A forced direct construction
-    keeps its own name; any other result is named first(n,k) or auto(n,k).
+    Builds the buildable bounds.derivation from the bottom up: its last
+    step's base rule, then each latin-lift or extend above it.  first
+    forces the top step of the route.  A forced direct construction keeps
+    its own name; any other result is named first(n,k) or auto(n,k).
     Plans above MAX_PARTITIONS raise ValueError.
     """
-    size, route = plan_construction(n, k, first)
+    chain = _plan(n, k, first)
+    size = chain[0].value
     if size > MAX_PARTITIONS:
         raise ValueError(
             f"the planned system has {size:,} partitions, over the cap of {MAX_PARTITIONS:,}"
         )
-    system = _materialize(n, k, route)
-    if first is None or len(route) > 1:
+    base = chain[-1]
+    system = _BASES[base.rule](base.n, k)
+    for step in reversed(chain[:-1]):
+        system = _lift(system) if step.rule == "latin-lift" else _extend(system)
+    if first is None or len(chain) > 1:
         system = system.with_name(f"{first or 'auto'}({n},{k})")
     if len(system) != size or system.n != n or system.k != k:
-        raise RuntimeError("internal error: materialized construction does not match its plan")
+        raise RuntimeError("internal error: the built construction does not match its plan")
     return system

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -128,7 +129,7 @@ def test_construct_oversized_plan_is_usage_error(capsys, monkeypatch):
         raise AssertionError("built a system over the cap")
 
     # C(28,13) = 37,442,160 partitions are planned and refused before any is built
-    monkeypatch.setattr(sperner.construct, "_materialize", no_build)
+    monkeypatch.setattr(sperner.construct, "construct_k2", no_build)
     code, out, err = run(capsys, "construct", "--n", "29", "--k", "2")
     assert code == 64
     assert out == ""
@@ -464,6 +465,51 @@ def test_text_only_stdout_gets_the_output():
     with contextlib.redirect_stdout(out):
         code = main(["bounds", "--n", "9", "--k", "4"])
     assert (code, out.getvalue().splitlines()[0]) == (0, "SP(9,4): lower 8, upper 8 (exact)")
+
+
+# SP(2300,2) = C(2299,1149), the k | n value, has 691 digits
+SP_2300_2 = str(comb(2299, 1149))
+
+
+@pytest.mark.parametrize(
+    "argv", [("--n", "2300", "--k", "2"), ("--k", "2", "--table", "--max-n", "2300")], ids=["single", "table"]
+)
+def test_bounds_prints_values_past_the_int_digit_limit(argv):
+    # the child may convert ints of at most 640 digits
+    lower = SP_2300_2
+    assert len(lower) == 691
+    env = dict(child_env(False), PYTHONINTMAXSTRDIGITS="640")
+    done = subprocess.run(
+        [sys.executable, "-m", "sperner.cli", "bounds", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    if argv[0] == "--n":
+        assert done.stdout.startswith(f"SP(2300,2): lower {lower}, upper {lower} (exact)\n")
+    else:
+        assert done.stdout.splitlines()[-1].split() == ["2300", "2", lower, lower, "exact"]
+
+
+@pytest.fixture
+def int_digit_limit_640():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python before 3.10.7 has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_only_bounds_lifts_the_int_digit_limit(capsys, tmp_path, int_digit_limit_640):
+    code, out, _ = run(capsys, "bounds", "--n", "2300", "--k", "2")
+    assert code == 0 and out.startswith(f"SP(2300,2): lower {SP_2300_2}, ")
+    # main also runs in-process, so the caller's limit is restored
+    assert sys.get_int_max_str_digits() == 640
+    document = tmp_path / "long-token.txt"
+    document.write_text("2 2 1\n0|" + "1" * 5000 + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(document))
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: line 2, column 3: bad element token '1111")
 
 
 def test_construct_to_file_succeeds_without_stdout(tmp_path):

@@ -45,6 +45,10 @@ class TestConstructK2:
         with pytest.raises(ValueError, match="even"):
             construct_k2(6)
 
+    def test_small_n_rejected(self):
+        with pytest.raises(ValueError, match="n >= 3"):
+            construct_k2(1)
+
 
 class TestConstruct2k1:
     def test_k2_uses_two_class_optimum(self):
@@ -140,6 +144,10 @@ class TestConstruct3k1:
     def test_k3_points_at_fixture(self):
         with pytest.raises(ValueError, match="fig-8-3"):
             construct_3k1(3)
+
+    def test_small_k_rejected(self):
+        with pytest.raises(ValueError, match="k >= 4"):
+            construct_3k1(2)
 
 
 class TestLatinLift:

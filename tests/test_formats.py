@@ -56,6 +56,11 @@ def test_serialize_empty_system():
     assert parse(serialize(empty, fmt="json")) == empty
 
 
+def test_serialize_refuses_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        serialize(load_fixture("fig-7-3"), fmt="xml")
+
+
 def test_json_document_shape():
     doc = json.loads(serialize(load_fixture("fig-7-3"), fmt="json"))
     assert doc["format_version"] == FORMAT_VERSION
@@ -124,6 +129,8 @@ def test_parse_bad_header():
         parse("7 3 0 base=2\n")
     with pytest.raises(ParseError, match="empty document"):
         parse("\n# only a comment\n")
+    with pytest.raises(ParseError, match="line 1, column 1: header must be 'n k m'"):
+        parse("7 3\n")
 
 
 def test_parse_json_errors():
@@ -133,6 +140,18 @@ def test_parse_json_errors():
         parse('{"n": 7, "k": 3}')
     with pytest.raises(ParseError, match="format_version"):
         parse('{"format_version": 99, "n": 7, "k": 3, "partitions": []}')
+    with pytest.raises(ParseError, match="partitions must be a list"):
+        parse('{"n": 2, "k": 2, "partitions": {"0": [[0], [1]]}}')
+    with pytest.raises(ParseError, match="partition 1 must be a list of element lists"):
+        parse('{"n": 2, "k": 2, "partitions": [[[0], [1]], [0, 1]]}')
+    with pytest.raises(ParseError, match="name must be a string or null"):
+        parse('{"n": 2, "k": 2, "partitions": [], "name": 7}')
+    # parse reads only a document that opens with "{" as JSON, so a
+    # top-level array is a text document whose header is too short
+    with pytest.raises(ParseError, match="header must be 'n k m'"):
+        parse("[[[0], [1]]]")
+    with pytest.raises(ParseError, match="top-level JSON value must be an object"):
+        formats._parse_json("[[[0], [1]]]")
 
 
 @pytest.mark.parametrize(

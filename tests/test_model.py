@@ -15,6 +15,7 @@ from sperner import (
     elements_of,
     enumerate_partitions,
     fixture_names,
+    format_report,
     incomparable,
     is_almost_uniform,
     load_fixture,
@@ -105,6 +106,20 @@ def test_validate_partition_uncovered_and_empty():
     assert any("class 0 is empty" in e for e in errors)
     assert any("element 2 is not covered" in e for e in errors)
     assert any("element 3 is not covered" in e for e in errors)
+
+
+def test_report_names_malformed_partitions():
+    parts = [Partition(4, [[0, 1], [2, 3]]), Partition(4, [[0, 1], []], k=2)]
+    system = PartitionSystem(4, 2, parts)
+    report = verify_sperner(system)
+    assert not report.valid
+    lines = format_report(system, report).splitlines()
+    assert lines[:4] == [
+        "malformed: partition 1: class 0 is empty",
+        "malformed: partition 1: element 2 is not covered by any class",
+        "malformed: partition 1: element 3 is not covered by any class",
+        "violation: partition 0 class 0 [0, 1] is a superset of partition 1 class 0 []",
+    ]
 
 
 def test_system_rejects_mismatched_partitions():

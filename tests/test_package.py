@@ -2,6 +2,7 @@
 
 import importlib
 import pickle
+import shlex
 from pathlib import Path
 
 import pytest
@@ -199,3 +200,24 @@ def test_readme_quickstart_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert "lower=11, upper=27" in printed[0]
     assert printed[1] == "5 True"
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    # the README's CLI "Examples" block, each command run through main in an
+    # empty directory; the last command of each line prints what its comment says
+    from sperner.cli import main
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\nExamples:\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        commands, _, stated = line.partition("#")
+        for command in commands.split("&&"):
+            program, *argv = shlex.split(command)
+            assert (program, main(argv)) == ("sperner", 0), line
+            out = capsys.readouterr().out
+        if out.startswith("# name: "):  # a system document: its size and ground set
+            system = sperner.parse(out)
+            out = f"{len(system)} partitions on {system.n} elements"
+        assert stated.strip() and stated.strip() in out, line

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from itertools import combinations, compress, permutations, product, starmap
@@ -749,3 +750,17 @@ class TestSolveSp:
         outcome = solve_sp(9, 4, time_budget=0.5)
         assert clock.reads == read + 3
         assert (outcome.size, outcome.proven_optimal, outcome.nodes_explored) == (1 + seed_size, False, 0)
+
+    def test_budget_expiring_inside_the_branching_stops_at_the_node_poll(self, monkeypatch):
+        class BranchClock:
+            """Reads late (past a budget of 0.5 s) only when expand polls it."""
+
+            def perf_counter(self):
+                return 1.0 if sys._getframe(1).f_code.co_name == "expand" else 0.0
+
+        monkeypatch.setattr(sperner.search, "time", BranchClock())
+        # the exact (10,4) search runs far past 2048 nodes; expand polls the
+        # clock at every 2048th node, and the first poll ends it
+        outcome = solve_sp(10, 4, time_budget=0.5)
+        assert (outcome.proven_optimal, outcome.nodes_explored) == (False, 2048)
+        assert len(outcome.best) == outcome.size and verify_sperner(outcome.best).valid
