@@ -15,6 +15,7 @@ and verify never load the search.
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 
@@ -23,6 +24,9 @@ EX_PARSE = 1
 EX_INVALID = 2
 EX_BUDGET = 3
 EX_USAGE = 64
+
+# characters of output encoded and written at a time
+_CHUNK = 1 << 16
 
 # construct --method -> (the bounds rule it forces as the first step, what that rule requires)
 _METHODS = {
@@ -94,16 +98,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write(stream, text: str, encoding: str, errors: str = "strict") -> None:
+    """Write text to a binary stream, encoded a bounded chunk at a time.
+
+    One incremental encoder serves every chunk, so an encoding with a byte
+    order mark writes it once, and no encoded copy of the whole text is
+    made.  A raw stream (an unbuffered stdout) may take part of a chunk, so
+    the rest is written again until none is left.
+    """
+    encode = codecs.getincrementalencoder(encoding)(errors).encode
+    for start in range(0, len(text), _CHUNK):
+        data = memoryview(encode(text[start : start + _CHUNK], start + _CHUNK >= len(text)))
+        while data:
+            data = data[stream.write(data) :]
+
+
 def _emit(system, output: str | None, fmt: str) -> tuple[int, str]:
-    """The document as stdout text, or written to output; an unwritable output is a usage error."""
+    """The document as stdout text, or written to output as UTF-8; an unwritable output is a usage error."""
     from .formats import serialize
 
     doc = serialize(system, fmt=fmt)
     if not output:
         return EX_OK, doc
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        with open(output, "wb") as fh:
+            _write(fh, doc, "utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE, ""
@@ -142,6 +161,7 @@ def _cmd_verify(args) -> tuple[int, str]:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EX_PARSE, ""
+    del text  # the document is not needed once parsed, so verification runs without it
     report = verify_sperner(system)
     if report.valid or args.report:
         out = format_report(system, report)
@@ -262,9 +282,7 @@ def main(argv=None) -> int:
             return code
         sys.stdout.flush()
         # bytes: the text layer drops the rest of a short write to an unbuffered stdout
-        data = memoryview(out.encode(sys.stdout.encoding, sys.stdout.errors))
-        while data:
-            data = data[sys.stdout.buffer.write(data) :]
+        _write(sys.stdout.buffer, out, sys.stdout.encoding, sys.stdout.errors)
         sys.stdout.buffer.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull, as the Python docs

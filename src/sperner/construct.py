@@ -210,10 +210,13 @@ def plan_construction(n: int, k: int, first: str | None = None) -> tuple[int, tu
 
 
 # The largest planned system construct_auto builds.  Building costs about
-# 25 us and 0.8 KB per partition in CPython: construct_k2(21), 167,960
-# partitions, takes 4.2 s and 132 MB peak RSS on a 2-core Xeon VM, so the
-# cap stands near 25 s and 0.8 GB.  Larger plans, such as C(28,13) =
-# 37,442,160 partitions for (29, 2), are refused before anything is built.
+# 8 us and 0.35 KB per partition in CPython: construct_k2(21), 167,960
+# partitions, takes 1.4 s and peaks at 74 MB RSS (15 MB of it the
+# interpreter and the package) on a 2-core Xeon VM, and so does
+# `sperner construct --n 21 --k 2`, whose document costs less than the
+# build.  The cap so stands near 8 s and 0.4 GB.  Larger plans, such as
+# C(28,13) = 37,442,160 partitions for (29, 2), are refused before
+# anything is built.
 MAX_PARTITIONS = 1_000_000
 
 

@@ -18,12 +18,18 @@ Two interchangeable representations:
 Serialization canonicalizes: classes sorted by (size, smallest element),
 partitions sorted likewise, so parse(serialize(s)) == s in canonical form
 and equal systems serialize byte-identically.
+
+Text documents are the largest thing the tool writes and reads, so the
+text path never holds a second copy of one: serialize renders its lines a
+bounded chunk of sort keys at a time, and the reader splits the document
+into lines a bounded chunk at a time, in one pass for the header and the
+line count and one that builds the partitions, with no list of lines.
 """
 
 from __future__ import annotations
 
 import sys
-from array import array
+from collections.abc import Iterator
 from itertools import chain
 
 from .model import Partition, PartitionSystem, elements_of
@@ -31,6 +37,9 @@ from .model import Partition, PartitionSystem, elements_of
 __all__ = ["FORMAT_VERSION", "ParseError", "serialize", "parse"]
 
 FORMAT_VERSION = 1
+
+# characters rendered at a time by serialize, and read at a time by the text reader
+_CHUNK = 1 << 16
 
 
 class ParseError(Exception):
@@ -54,61 +63,63 @@ def serialize(system: PartitionSystem, fmt: str = "text") -> str:
     """Render a system as a text or JSON document (labels 0-based).
 
     Partitions come out sorted by their tuples of class element tuples,
-    which within one system is Partition order.  Each class's elements
-    are walked once, as the codes e + 1 of the class shifted up one bit,
-    and both the line (or JSON row) and the sort key are built from them.
-    The key is one bytes string per partition: each code big-endian in a
-    fixed width that holds the largest, and a zero code closing each
-    class.  Byte order on these keys is the tuple order, since a class
-    that is a prefix of another closes with 0 where the other goes on with
-    a larger code.  The sort so holds a few bytes per class, not a tuple
-    per class and an int per element.
+    which within one system is Partition order.  The text path walks each
+    class's elements once, into one sort key per partition: a string of
+    the codes e + 1 as characters, class by class, with the code 0 closing
+    each class.  String order on these keys is the tuple order, since a
+    class that is a prefix of another closes with 0 where the other goes
+    on with a larger code.  The key holds every code, so the lines are
+    rendered from the sorted keys, a bounded chunk at a time, and each
+    chunk's keys are freed once it is rendered: the keys and the finished
+    document are never held whole together.  JSON rows, and text labels
+    past chr's range (above a million), come from a plain sort of element
+    lists.
     """
+    if fmt not in ("text", "json"):
+        raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'json')")
     parts = system.partitions
     top = max(map(int.bit_length, chain.from_iterable(p.classes for p in parts)), default=0)
-    if fmt == "text":
-        # code e + 1 -> "e"; one string per label, shared by every line
-        label = ["", *map(str, range(top))].__getitem__
-
-        def render(classes):
-            return "|".join([",".join(map(label, codes)) for codes in classes])
-
-    elif fmt == "json":
-
-        def render(classes):
-            return [[code - 1 for code in codes] for codes in classes]
-
+    if fmt == "text" and top < sys.maxunicode:
+        keys = [
+            "".join([chr(code) for c in p.classes for code in (*elements_of(c << 1), 0)]) for p in parts
+        ]
+        keys.sort()
+        body = _render(keys, top)
     else:
-        raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'json')")
-    # the narrowest unsigned array type that holds every code
-    typecode = next(t for t in "BHIQ" if top < 1 << 8 * array(t).itemsize)
-    keyed = []
-    for p in parts:
-        classes = [elements_of(c << 1) for c in p.classes]
-        key = array(typecode, [code for codes in classes for code in (*codes, 0)])
-        if sys.byteorder == "little":
-            key.byteswap()
-        keyed.append((key.tobytes(), render(classes)))
-    keyed.sort()
-    rows = [row for _, row in keyed]
-    if fmt == "text":
-        lines = []
-        if system.name:
-            lines.append(f"# name: {system.name}")
-        lines.append(f"{system.n} {system.k} {len(rows)}")
-        lines.extend(rows)
-        return "\n".join(lines) + "\n"
-    import json
+        rows = sorted([list(c) for c in p.class_sets] for p in parts)
+        if fmt == "json":
+            import json
 
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "n": system.n,
-        "k": system.k,
-        "name": system.name,
-        "partitions": rows,
-        "metadata": {},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            doc = {
+                "format_version": FORMAT_VERSION,
+                "n": system.n,
+                "k": system.k,
+                "name": system.name,
+                "partitions": rows,
+                "metadata": {},
+            }
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        body = ["|".join([",".join(map(str, c)) for c in row]) + "\n" for row in rows]
+    head = f"# name: {system.name}\n" if system.name else ""
+    return "".join([head, f"{system.n} {system.k} {len(parts)}\n", *body])
+
+
+def _render(keys: list[str], top: int) -> list[str]:
+    """The lines of sorted keys with codes up to top, a chunk of lines per string.
+
+    keys is emptied a chunk at a time as its lines are rendered.
+    """
+    end = chr(top + 1)  # joins a chunk's keys, and renders as the line end
+    text = ["|", *[f"{e}," for e in range(top)], "\n"]  # key character -> its text
+    step = max(1, _CHUNK // (1 + max(map(len, keys), default=0)))
+    chunks = []
+    while keys:
+        chunk = end.join(keys[:step]) + end
+        del keys[:step]
+        # each element renders with a comma after it and each class close
+        # as "|": drop the comma before a close, and the close before a line end
+        chunks.append(chunk.translate(text).replace(",|", "|").replace("|\n", "\n"))
+    return chunks
 
 
 def parse(text: str) -> PartitionSystem:
@@ -118,8 +129,7 @@ def parse(text: str) -> PartitionSystem:
     set; structural defects (duplicate or uncovered elements, wrong class
     count) raise ParseError with the offending position.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):  # the stripped copy, if any, is dropped at once
         return _parse_json(text)
     return _parse_text(text)
 
@@ -192,73 +202,121 @@ def _build_partition(n: int, k: int, classes: list[list[int]], line: int | None 
     return Partition(n, masks, k)
 
 
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(keepends=True), split a bounded chunk of text at a time.
+
+    A chunk's last line may go on in the next chunk, or end in the CR of a
+    CR LF pair, so the next chunk starts where that line does.  A line longer
+    than the chunk doubles the chunk until the line ends inside it.
+    """
+    start, size = 0, _CHUNK
+    while start < len(text):
+        lines = text[start : start + size].splitlines(True)
+        if start + size < len(text):
+            if len(lines) == 1:
+                size *= 2
+                continue
+            start -= len(lines.pop())
+        yield from lines
+        start += size
+        size = _CHUNK
+
+
+def _content(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) of each line that is not blank."""
+    for lineno, raw in enumerate(_lines(text), start=1):
+        line = raw.strip()  # every line break is whitespace too
+        if line:
+            yield lineno, line
+
+
 def _parse_text(text: str) -> PartitionSystem:
+    # Two passes over the lines, and no list of them.  The first reads the
+    # header, the name and the number of partition lines, so each error is
+    # the one a reader that held every line would raise first; the second
+    # builds the partitions.
     name = None
-    header = None
     header_line = 0
-    body: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    found = 0
+    extra = 0  # the first partition line past the declared count
+    longest = 0
+    for lineno, line in _content(text):
         if line.startswith("#"):
             comment = line[1:].strip()
             if comment.startswith("name:"):
                 name = comment[len("name:"):].strip() or None
-            continue
-        if header is None:
-            header = line
+        elif not header_line:
             header_line = lineno
+            n, k, count, base = _parse_header(line, lineno)
         else:
-            body.append((lineno, line))
-
-    if header is None:
+            if found == count:
+                extra = lineno
+            found += 1
+            longest = max(longest, len(line))
+    if not header_line:
         raise ParseError("empty document")
+    if found != count:
+        raise ParseError(f"header declares {count} partitions, found {found}", extra or header_line)
+    # each label's element: a line of n labels has at least 2n - 1
+    # characters, so the table is no longer than the longest line allows
+    labels = {str(e + base): e for e in range(n)} if 2 * n <= longest + 1 else {}
+    partitions = (
+        _build_partition(n, k, _parse_classes(line, lineno, n, base, labels), line=lineno)
+        for lineno, line in _content(text)
+        if lineno > header_line and not line.startswith("#")
+    )
+    return PartitionSystem(n, k, partitions, name=name)
 
+
+def _parse_header(header: str, lineno: int) -> tuple[int, int, int, int]:
+    """(n, k, partition count, label base) of the header line."""
     tokens = header.split()
     if len(tokens) < 3:
-        raise ParseError("header must be 'n k m' with optional 'base=0|1'", header_line, 1)
+        raise ParseError("header must be 'n k m' with optional 'base=0|1'", lineno, 1)
     try:
         n, k, count = (int(t) for t in tokens[:3])
     except ValueError:
-        raise ParseError("header must start with three integers", header_line, 1) from None
+        raise ParseError("header must start with three integers", lineno, 1) from None
     if n < 1 or k < 1 or count < 0:
-        raise ParseError("header values must be positive (partition count may be 0)", header_line, 1)
+        raise ParseError("header values must be positive (partition count may be 0)", lineno, 1)
     base = 0
     for tok in tokens[3:]:
         if tok in ("base=0", "base=1"):
             base = int(tok[-1])
         else:
-            raise ParseError(f"unrecognized header token {tok!r}", header_line, header.find(tok) + 1)
+            raise ParseError(f"unrecognized header token {tok!r}", lineno, header.find(tok) + 1)
+    return n, k, count, base
 
-    if len(body) != count:
-        raise ParseError(
-            f"header declares {count} partitions, found {len(body)}",
-            body[count][0] if len(body) > count else header_line,
-        )
 
-    partitions = []
-    for lineno, line in body:
-        classes: list[list[int]] = []
-        col = 1  # column of the current token; each separator is one character
-        for part in line.split("|"):
-            cls: list[int] = []
-            for word in part.split(","):
-                token = word.strip()
-                if token == "inf":
-                    cls.append(n - 1)
-                else:
-                    try:
-                        value = int(token)
-                    except ValueError:
-                        raise ParseError(f"bad element token {token!r}", lineno, col) from None
-                    internal = value - base
-                    if not 0 <= internal < n:
-                        raise ParseError(
-                            f"element {value} outside the declared ground set", lineno, col
-                        )
-                    cls.append(internal)
-                col += len(word) + 1
-            classes.append(cls)
-        partitions.append(_build_partition(n, k, classes, line=lineno))
-    return PartitionSystem(n, k, partitions, name=name)
+def _parse_classes(line: str, lineno: int, n: int, base: int, labels: dict[str, int]) -> list[list[int]]:
+    """A partition line's classes, as internal elements.
+
+    A line of plain labels is read through the labels table.  A line with
+    any other token ("inf", spaces, a sign, a label outside the ground set)
+    is walked token by token, with int's reading of each, which finds the
+    column of the first bad token.
+    """
+    try:
+        return [[*map(labels.__getitem__, part.split(","))] for part in line.split("|")]
+    except KeyError:
+        pass
+    classes = []
+    col = 1  # column of the current token; each separator is one character
+    for part in line.split("|"):
+        cls: list[int] = []
+        for word in part.split(","):
+            token = word.strip()
+            if token == "inf":
+                cls.append(n - 1)
+            else:
+                try:
+                    value = int(token)
+                except ValueError:
+                    raise ParseError(f"bad element token {token!r}", lineno, col) from None
+                internal = value - base
+                if not 0 <= internal < n:
+                    raise ParseError(f"element {value} outside the declared ground set", lineno, col)
+                cls.append(internal)
+            col += len(word) + 1
+        classes.append(cls)
+    return classes

@@ -60,11 +60,15 @@ def elements_of(mask: int) -> tuple[int, ...]:
     """Ascending elements of a bitmask."""
     if mask < 0:
         raise ValueError(f"negative mask {mask}")
+    # from the top bit down, so the mask shrinks as each element is cleared;
+    # isolating the low bit (mask & -mask) takes one more operation on the
+    # whole mask per element
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return tuple(out)
 
 

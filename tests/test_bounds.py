@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 from math import comb, floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sperner import (
     best_lower,
@@ -12,6 +15,7 @@ from sperner import (
     load_fixture,
     sp_bounds,
 )
+from sperner import bounds
 from sperner.bounds import FIXTURES
 
 
@@ -173,3 +177,64 @@ def test_exact_cases():
     assert (r114.lower, r114.upper) == (11, 27) and not r114.exact
     r83 = sp_bounds(8, 3)
     assert (r83.lower, r83.upper) == (8, 9) and not r83.exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 4), st.integers(-3, 3)), max_size=60), st.integers(0, 3000))
+def test_binomial_matches_comb_along_any_walk(moves, start):
+    # short steps either way from the last binomial, long jumps, and b past a
+    a, b = start, start // 2
+    for da, db in moves:
+        a, b = max(a + da, 0), max(b + db, 0)
+        assert bounds._binomial(a, b) == comb(a, b), (a, b)
+    assert bounds._binomial(start + 100, start // 3) == comb(start + 100, start // 3)
+
+
+def reference_rules(n, k, steps, buildable=False):
+    """bounds._rules as it stood, with a math.comb of its own for the k2 rule."""
+    from sperner.bounds import FIXTURES, known_exact
+
+    ke = None if buildable else known_exact(n, k)
+    if ke is not None:
+        yield ke[0], "known-exact", f"SP({n},{k}) = {ke[0]}: {ke[1]}", None
+    if (n, k) in FIXTURES:
+        name, size = FIXTURES[n, k]
+        yield size, "fixture", f"bundled system {name} has {size} partitions", None
+    if k == 2 and n % 2 and n >= 3:
+        size = math.comb(n - 1, (n - 3) // 2)
+        yield size, "k2", f"two-class construction: C({n - 1},{(n - 3) // 2}) = {size} partitions", None
+    if n == 2 * k + 1 and k % 2 == 0:
+        yield 2 * k, "rotational-2k1", f"rotational construction: 2k = {2 * k} partitions", None
+    if n == 2 * k + 2 and k >= 3:
+        yield 2 * k + 1, "rotational-2k2", f"rotational construction: 2k+1 = {2 * k + 1} partitions", None
+    if n == 3 * k - 1 and k >= 4:
+        yield 3 * k - 1, "rotational-3k1", f"rotational construction: 3k-1 = {3 * k - 1} partitions", None
+    if n - k >= k:
+        value = k * steps[n - k].value
+        yield value, "latin-lift", f"SP({n},{k}) >= {k} * SP({n - k},{k}) = {value}", n - k
+    if n - 1 >= k:
+        value = steps[n - 1].value
+        yield value, "extend", f"SP({n},{k}) >= SP({n - 1},{k}) = {value}", n - 1
+    yield 1, "trivial", "a single k-partition", None
+
+
+def bounds_outcomes(max_n):
+    """Every step and table row of k = 2..6 up to max_n, and the provenance of every 7th n."""
+    out = []
+    for k in range(2, 7):
+        out.append(bounds._steps(max_n, k))
+        out.append(bounds._steps(max_n, k, buildable=True))
+        out.append(bounds_table(k, max_n))
+        out.extend(sp_bounds(n, k) for n in [*range(k, max_n, 7), max_n])
+    return out
+
+
+def test_bounds_match_reference_rules():
+    # each binomial is now stepped from the one before it; every value,
+    # detail string and provenance stays what math.comb gave
+    expected_max_n = 400
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_rules", reference_rules)
+        mp.setattr(bounds, "_binomial", math.comb)
+        expected = bounds_outcomes(expected_max_n)
+    assert bounds_outcomes(expected_max_n) == expected

@@ -512,6 +512,40 @@ def test_only_bounds_lifts_the_int_digit_limit(capsys, tmp_path, int_digit_limit
     assert err.startswith("parse error: line 2, column 3: bad element token '1111")
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_document_of_many_write_chunks_is_byte_identical(tmp_path, unbuffered):
+    # 480,540 characters: main and -o encode and write 65,536 at a time
+    from sperner import construct_auto
+
+    doc = serialize(construct_auto(17, 2))
+    assert len(doc) > 4 * 65_536
+    target = tmp_path / "k2.txt"
+    argv = [sys.executable, "-m", "sperner.cli", "construct", "--n", "17", "--k", "2"]
+    done = subprocess.run(argv, capture_output=True, env=child_env(unbuffered), timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, b"", doc.encode("utf-8"))
+    done = subprocess.run([*argv, "-o", str(target)], capture_output=True, env=child_env(unbuffered), timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, b"", b"")
+    assert target.read_bytes() == doc.encode("utf-8")
+
+
+def test_utf16_stdout_gets_one_byte_order_mark(tmp_path):
+    # one incremental encoder writes every chunk, so the mark opens the
+    # output once; -o files are UTF-8 whatever stdout's encoding
+    from sperner import construct_auto
+
+    doc = serialize(construct_auto(17, 2))
+    target = tmp_path / "k2.txt"
+    env = dict(child_env(False), PYTHONIOENCODING="utf-16")
+    argv = [sys.executable, "-m", "sperner.cli", "construct", "--n", "17", "--k", "2"]
+    done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == doc.encode("utf-16")
+    assert done.stdout.count(b"\xff\xfe") == 1 and done.stdout.startswith(b"\xff\xfe")
+    done = subprocess.run([*argv, "-o", str(target)], capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, b"", b"")
+    assert target.read_bytes() == doc.encode("utf-8")
+
+
 def test_construct_to_file_succeeds_without_stdout(tmp_path):
     # nothing goes to stdout, so a missing stdout costs the command nothing
     target = tmp_path / "c.txt"

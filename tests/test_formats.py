@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from sperner import (
     PartitionSystem,
     construct_2k2,
     construct_3k1,
+    construct_k2,
     enumerate_partitions,
     fixture_names,
     fixture_text,
@@ -285,6 +287,59 @@ def test_serialize_keeps_a_few_bytes_per_class():
     assert peak - len(doc) < 40 * classes, (peak - len(doc)) / classes
 
 
+@pytest.mark.parametrize("top", [0xD7FF, 0xD800, 0xDFFF, sys.maxunicode - 1, sys.maxunicode, sys.maxunicode + 1])
+def test_serialize_matches_reference_at_the_ends_of_chrs_range(top):
+    # a key holds the code e + 1 of each element as one character, and the
+    # code top + 1 ends each line: labels in the surrogate range still make
+    # characters, and labels past chr's range take the plain sort
+    rows = [[[0, top], [1]], [[0], [1, top]], [[top - 1], [0, 1]], [[], [0, 1, top]]]
+    system = PartitionSystem(3, 2, [Partition(3, classes, 2) for classes in rows])
+    for fmt in ("text", "json"):
+        assert serialize(system, fmt=fmt) == reference_serialize(system, fmt=fmt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(), st.integers(1, 40))
+def test_serialize_in_small_chunks_matches_reference(system, chunk):
+    # chunks of as little as one partition, each key longer than the chunk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_CHUNK", chunk)
+        assert serialize(system) == reference_serialize(system)
+
+
+def test_serialize_holds_the_document_and_a_few_bytes_per_partition():
+    # 11,440 partitions.  The keys, freed chunk by chunk as the lines are
+    # rendered, and the rendered chunks joined into the document stay within
+    # 64 bytes per partition beyond the document itself; a (key, line)
+    # tuple per partition costs over 200.
+    system = construct_k2(17)
+    tracemalloc.start()
+    try:
+        doc = serialize(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc == reference_serialize(system)
+    assert peak - len(doc) < 64 * len(system), (peak - len(doc)) / len(system)
+
+
+def test_parse_holds_no_list_of_lines():
+    # The text reader holds a chunk of the document at a time, not its
+    # 11,442 lines: beyond the system it returns, it needs a bounded few
+    # times the chunk.  A list of lines and of (line, text) tuples costs
+    # about 170 bytes per line, 1.9 MB here.
+    system = construct_k2(17)
+    doc = serialize(system)
+    tracemalloc.start()
+    try:
+        parsed = parse(doc)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == system
+    assert peak - retained < 4 * formats._CHUNK, peak - retained
+
+
 def reference_build_partition(n, k, classes, line=None):
     """_build_partition as it stood, range-checking every element and walking it twice."""
     if len(classes) != k:
@@ -455,3 +510,41 @@ def test_text_reader_matches_reference(text):
 def test_text_reader_matches_reference_on_fixtures(name):
     text = fixture_text(name)
     assert outcome(parse, text) == outcome(reference_parse_text, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", max_size=40), st.integers(1, 9))
+def test_lines_split_like_splitlines(text, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_CHUNK", chunk)
+        assert list(formats._lines(text)) == text.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("separator", ["\r\n", "\r", "\x0b", "\x1c", "\u2028"], ids=repr)
+def test_text_reader_across_chunk_boundaries(separator):
+    # every chunk size up to the whole document: each line break falls at
+    # a chunk boundary for some size, a CR LF pair split between two chunks
+    # included
+    documents = [
+        "# name: x\n7 3 2\n0,1|2,3|4,5,6\n\n0,2|1,3|4,5,6\n",
+        "7 3 2\n0,1|2,3|4,5,6\n0,2|1,3|4,5,6\n0,1|2,4|3,5,6\n",
+        "5 2 1 base=1\n  \n1,2|3,4,inf\n# name: y",
+        "7 3 1\n0,1|2,x|4,5,6\n",
+        "\n\n# only a comment\n",
+    ]
+    for doc in documents:
+        text = doc.replace("\n", separator)
+        expected = outcome(reference_parse_text, text)
+        with pytest.MonkeyPatch.context() as mp:
+            for chunk in range(1, len(text) + 2):
+                mp.setattr(formats, "_CHUNK", chunk)
+                assert outcome(parse, text) == expected, chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_documents(), st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]), st.integers(1, 12))
+def test_text_reader_in_small_chunks_matches_reference(text, separator, chunk):
+    text = text.replace("\n", separator)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formats, "_CHUNK", chunk)
+        assert outcome(parse, text) == outcome(reference_parse_text, text)
