@@ -12,12 +12,16 @@ class of another partition contains its element).
 
 The lower bounds come from one rule table and one dynamic program
 (derivation); construct.construct_auto builds its derivation over the
-rules that build a system, so the two cannot drift apart.
+rules that build a system, so the two cannot drift apart.  It carries
+numbers only: derivation and bounds_table word no value, and best_lower
+words just the chain it returns.  SP(n, 2) passes Python's 4300-digit
+int-to-str limit near n = 14,300, where sp_bounds needs its caller to
+lift the limit, as the CLI does.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import groupby
 from math import comb, prod
 from typing import NamedTuple
@@ -191,47 +195,49 @@ FIXTURES = {
 
 
 class Step(NamedTuple):
-    """One step of a lower-bound derivation: SP(n, k) >= value by rule."""
+    """One step of a lower-bound derivation: SP(n, k) >= value by rule; detail() words it."""
 
     n: int
     value: int
     rule: str
-    detail: str
+    detail: Callable[[], str]
     prev: int | None  # the n' whose system this step grows, if any
 
 
 def _rules(
     n: int, k: int, steps: dict[int, Step], buildable: bool = False
-) -> Iterator[tuple[int, str, str, int | None]]:
+) -> Iterator[tuple[int, str, Callable[[], str], int | None]]:
     """The rule table: (value, rule, detail, prev) of every rule that applies
     at n, in order of preference, given the steps of every k <= n' < n.
 
+    Each detail is a zero-argument callable that words its rule; the names
+    it reads are bound once per call, so it words its own rule's value.
     known-exact is the one rule that builds nothing (the k | n value of
     Meagher, Moura & Stevens comes without a witness); buildable=True
     leaves it out.
     """
     ke = None if buildable else known_exact(n, k)
     if ke is not None:
-        yield ke[0], "known-exact", f"SP({n},{k}) = {ke[0]}: {ke[1]}", None
+        yield ke[0], "known-exact", lambda: f"SP({n},{k}) = {ke[0]}: {ke[1]}", None
     if (n, k) in FIXTURES:
         name, size = FIXTURES[n, k]
-        yield size, "fixture", f"bundled system {name} has {size} partitions", None
+        yield size, "fixture", lambda: f"bundled system {name} has {size} partitions", None
     if k == 2 and n % 2 and n >= 3:
-        size = _binomial(n - 1, (n - 3) // 2)
-        yield size, "k2", f"two-class construction: C({n - 1},{(n - 3) // 2}) = {size} partitions", None
+        pairs = _binomial(n - 1, (n - 3) // 2)
+        yield pairs, "k2", lambda: f"two-class construction: C({n - 1},{(n - 3) // 2}) = {pairs} partitions", None
     if n == 2 * k + 1 and k % 2 == 0:
-        yield 2 * k, "rotational-2k1", f"rotational construction: 2k = {2 * k} partitions", None
+        yield 2 * k, "rotational-2k1", lambda: f"rotational construction: 2k = {2 * k} partitions", None
     if n == 2 * k + 2 and k >= 3:
-        yield 2 * k + 1, "rotational-2k2", f"rotational construction: 2k+1 = {2 * k + 1} partitions", None
+        yield 2 * k + 1, "rotational-2k2", lambda: f"rotational construction: 2k+1 = {2 * k + 1} partitions", None
     if n == 3 * k - 1 and k >= 4:
-        yield 3 * k - 1, "rotational-3k1", f"rotational construction: 3k-1 = {3 * k - 1} partitions", None
+        yield 3 * k - 1, "rotational-3k1", lambda: f"rotational construction: 3k-1 = {3 * k - 1} partitions", None
     if n - k >= k:
-        value = k * steps[n - k].value
-        yield value, "latin-lift", f"SP({n},{k}) >= {k} * SP({n - k},{k}) = {value}", n - k
+        lifted = k * steps[n - k].value
+        yield lifted, "latin-lift", lambda: f"SP({n},{k}) >= {k} * SP({n - k},{k}) = {lifted}", n - k
     if n - 1 >= k:
-        value = steps[n - 1].value
-        yield value, "extend", f"SP({n},{k}) >= SP({n - 1},{k}) = {value}", n - 1
-    yield 1, "trivial", "a single k-partition", None
+        extended = steps[n - 1].value
+        yield extended, "extend", lambda: f"SP({n},{k}) >= SP({n - 1},{k}) = {extended}", n - 1
+    yield 1, "trivial", lambda: "a single k-partition", None
 
 
 def _steps(n: int, k: int, buildable: bool = False, first: str | None = None) -> dict[int, Step]:
@@ -283,7 +289,7 @@ def best_lower(n: int, k: int) -> tuple[int, Provenance]:
             detail = f"SP({top.n},{k}) >= SP({bottom.n - 1},{k}) = {top.value} by adding elements"
             provenance.append((rule, detail))
         else:
-            provenance += [(rule, step.detail) for step in steps]
+            provenance += [(rule, step.detail()) for step in steps]
     return chain[0].value, tuple(provenance)
 
 

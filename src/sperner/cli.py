@@ -7,6 +7,8 @@ stdout), 2 invalid system, 3 search budget exhausted, 64 usage error (an
 -o path that cannot be written is one).  Result output goes to stdout and
 is byte-stable across runs; timing diagnostics go to stderr.  Each handler
 returns its exit code and stdout text, and `main` alone writes stdout.
+It prints a handler's ValueError as `error: ...` with exit 64, and runs
+every handler but verify's with Python's int-to-str digit limit lifted.
 Each handler imports the modules it runs, so a process loads only what
 its subcommand needs: bounds loads only the bounds module, and construct
 and verify never load the search.
@@ -130,16 +132,18 @@ def _emit(system, output: str | None, fmt: str) -> tuple[int, str]:
 
 
 def _cmd_construct(args) -> tuple[int, str]:
-    from .construct import construct_auto
+    from .construct import construct_auto, plan_construction
 
     rule, requirement = _METHODS[args.method]
     try:
         system = construct_auto(args.n, args.k, first=rule)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if requirement:
-            print(f"note: --method {args.method} requires {requirement}", file=sys.stderr)
-        return EX_USAGE, ""
+        if requirement:  # a plan over the cap was made, so its rule applies and needs no note
+            try:
+                plan_construction(args.n, args.k, first=rule)
+            except ValueError:
+                raise ValueError(f"{exc}\nnote: --method {args.method} requires {requirement}") from None
+        raise
     return _emit(system, args.output, args.format)
 
 
@@ -173,61 +177,34 @@ def _cmd_verify(args) -> tuple[int, str]:
     return (EX_OK if report.valid else EX_INVALID), out + "\n"
 
 
-def _format_bound_line(n: int, k: int) -> list[str]:
-    from .bounds import sp_bounds
-
-    result = sp_bounds(n, k)
-    status = "exact" if result.exact else "open"
-    lines = [f"SP({n},{k}): lower {result.lower}, upper {result.upper} ({status})"]
-    for rule, detail in result.lower_provenance:
-        lines.append(f"  lower <- {rule}: {detail}")
-    for rule, detail in result.upper_provenance:
-        lines.append(f"  upper <- {rule}: {detail}")
-    return lines
-
-
 def _cmd_bounds(args) -> tuple[int, str]:
-    from .bounds import bounds_table
+    from .bounds import bounds_table, sp_bounds
 
     k = args.k
     if args.table and args.max_n is None:
-        print("error: --table requires --max-n", file=sys.stderr)
-        return EX_USAGE, ""
+        raise ValueError("--table requires --max-n")
     if not args.table and args.n is None:
-        print("error: --n is required without --table", file=sys.stderr)
-        return EX_USAGE, ""
-    # SP(n, 2) outgrows Python's default 4300-digit int-to-str limit near
-    # n = 14,300: lift the limit (0) while writing, and restore it after,
-    # since main also runs in-process.  Python before 3.10.7 has none.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    set_limit(0)
-    try:
-        if args.table:
-            lines = [f"{'n':>4} {'k':>4} {'lower':>12} {'upper':>12}  status"]
-            for n, lower, upper in bounds_table(k, args.max_n):
-                status = "exact" if lower == upper else "open"
-                lines.append(f"{n:>4} {k:>4} {lower:>12} {upper:>12}  {status}")
-        else:
-            lines = _format_bound_line(args.n, k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE, ""
-    finally:
-        set_limit(limit)
+        raise ValueError("--n is required without --table")
+    if args.table:
+        lines = [f"{'n':>4} {'k':>4} {'lower':>12} {'upper':>12}  status"]
+        for n, lower, upper in bounds_table(k, args.max_n):
+            status = "exact" if lower == upper else "open"
+            lines.append(f"{n:>4} {k:>4} {lower:>12} {upper:>12}  {status}")
+    else:
+        result = sp_bounds(args.n, k)
+        status = "exact" if result.exact else "open"
+        lines = [f"SP({args.n},{k}): lower {result.lower}, upper {result.upper} ({status})"]
+        lines += (f"  lower <- {rule}: {detail}" for rule, detail in result.lower_provenance)
+        lines += (f"  upper <- {rule}: {detail}" for rule, detail in result.upper_provenance)
     return EX_OK, "".join(f"{line}\n" for line in lines)
 
 
 def _cmd_search(args) -> tuple[int, str]:
     from .search import solve_sp
 
-    try:
-        outcome = solve_sp(
-            args.n, args.k, time_budget=args.time_limit, target=None if args.exact else args.target
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE, ""
+    outcome = solve_sp(
+        args.n, args.k, time_budget=args.time_limit, target=None if args.exact else args.target
+    )
     print(
         f"nodes {outcome.nodes_explored}, elapsed {outcome.elapsed:.2f}s, "
         f"root bound {outcome.root_bound}",
@@ -271,7 +248,20 @@ def main(argv=None) -> int:
         "search": _cmd_search,
         "fixtures": _cmd_fixtures,
     }
-    code, out = handlers[args.command](args)
+    # SP(n, 2) passes the 4300-digit int-to-str limit near n = 14,300: lift it
+    # (0) but for verify, whose reader refuses a longer token, and restore the
+    # caller's, as main also runs in-process.  Python before 3.10.7 has none.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    if args.command != "verify":
+        set_limit(0)
+    try:
+        code, out = handlers[args.command](args)
+    except ValueError as exc:  # a refused argument
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
+    finally:
+        set_limit(limit)
     if not out:
         return code
     if sys.stdout is None:  # the process started without stdout, so the output goes nowhere

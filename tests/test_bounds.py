@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from math import comb, floor
 
@@ -218,23 +219,60 @@ def reference_rules(n, k, steps, buildable=False):
     yield 1, "trivial", "a single k-partition", None
 
 
+def worded_reference_rules(n, k, steps, buildable=False):
+    """reference_rules with each detail string handed out as the callable a Step holds."""
+    for value, rule, detail, prev in reference_rules(n, k, steps, buildable):
+        yield value, rule, lambda detail=detail: detail, prev
+
+
 def bounds_outcomes(max_n):
-    """Every step and table row of k = 2..6 up to max_n, and the provenance of every 7th n."""
+    """Every step, with its wording, and table row of k = 2..6 up to max_n, and every provenance."""
     out = []
     for k in range(2, 7):
-        out.append(bounds._steps(max_n, k))
-        out.append(bounds._steps(max_n, k, buildable=True))
+        for buildable in (False, True):
+            steps = bounds._steps(max_n, k, buildable=buildable).values()
+            out.append([(s.n, s.value, s.rule, s.detail(), s.prev) for s in steps])
         out.append(bounds_table(k, max_n))
-        out.extend(sp_bounds(n, k) for n in [*range(k, max_n, 7), max_n])
+        out.extend(sp_bounds(n, k) for n in range(k, max_n + 1))
     return out
 
 
 def test_bounds_match_reference_rules():
-    # each binomial is now stepped from the one before it; every value,
-    # detail string and provenance stays what math.comb gave
+    # each binomial is now stepped from the one before it, and each step is
+    # worded on demand; every value, detail string and provenance stays what
+    # math.comb and eager wording gave
     expected_max_n = 400
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds, "_rules", reference_rules)
+        mp.setattr(bounds, "_rules", worded_reference_rules)
         mp.setattr(bounds, "_binomial", math.comb)
         expected = bounds_outcomes(expected_max_n)
     assert bounds_outcomes(expected_max_n) == expected
+
+
+def test_the_dynamic_program_words_no_value(int_digit_limit_640):
+    # SP(2300,2) and SP(2301,2) have 691 digits, past the 640 the test allows
+    from sperner import plan_construction
+
+    assert bounds_table(2, 2300)[-1] == (2300, comb(2299, 1149), comb(2299, 1149))
+    assert plan_construction(2301, 2) == (comb(2300, 1149), ("k2",))
+    (step,) = bounds.derivation(2301, 2)
+    assert (step.value, step.rule) == (comb(2300, 1149), "known-exact")
+
+
+def test_lower_above_upper_is_an_internal_error(monkeypatch):
+    # a cited SP(7,3) = 4 would put the bundled 5-partition fig-7-3 above it
+    monkeypatch.setitem(bounds._COMPUTER_SEARCHES, (7, 3), (4, "a wrong citation"))
+    message = "internal error: lower bound 5 exceeds upper bound 4 for (7,3)"
+    for call in (lambda: sp_bounds(7, 3), lambda: bounds_table(3, 7)):
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            call()
+
+
+def test_conflicting_exact_values_are_an_internal_error(monkeypatch):
+    monkeypatch.setitem(bounds._COMPUTER_SEARCHES, (9, 4), (9, "a wrong citation"))
+    message = (
+        "internal error: conflicting exact values for (9,4): "
+        "[(8, 'rotational construction meets the 2k cap for n = 2k+1, k even'), (9, 'a wrong citation')]"
+    )
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        known_exact(9, 4)

@@ -136,6 +136,16 @@ def test_construct_oversized_plan_is_usage_error(capsys, monkeypatch):
     assert "37,442,160 partitions" in err
 
 
+@pytest.mark.parametrize(
+    "method, n, k, size", [("k2", 29, 2, "37,442,160"), ("latin-lift", 60, 3, "1,162,261,467")]
+)
+def test_construct_forced_plan_over_the_cap_gets_no_note(capsys, method, n, k, size):
+    # the forced rule applies here, so there is nothing for a note to say
+    code, out, err = run(capsys, "construct", "--n", str(n), "--k", str(k), "--method", method)
+    assert (code, out) == (64, "")
+    assert err == f"error: the planned system has {size} partitions, over the cap of 1,000,000\n"
+
+
 def test_construct_k_below_one_is_usage_error(capsys):
     code, out, err = run(capsys, "construct", "--n", "3", "--k", "0")
     assert code == 64
@@ -490,14 +500,24 @@ def test_bounds_prints_values_past_the_int_digit_limit(argv):
         assert done.stdout.splitlines()[-1].split() == ["2300", "2", lower, lower, "exact"]
 
 
-@pytest.fixture
-def int_digit_limit_640():
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("Python before 3.10.7 has no int-to-str digit limit")
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    yield
-    sys.set_int_max_str_digits(before)
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (("construct", "--n", "2301", "--k", "2"), "error: the planned system has "),
+        (("construct", "--n", "2301", "--k", "2", "--method", "k2"), "error: the planned system has "),
+        (("search", "--n", "1400", "--k", "3"), "error: the search has "),
+    ],
+    ids=["construct", "construct-k2", "search"],
+)
+def test_refusals_word_numbers_past_the_int_digit_limit(argv, refusal):
+    # C(2300,1149) partitions and 1400-element candidate counts pass 640 digits;
+    # main lifts the limit, so each command words its own refusal
+    env = dict(child_env(False), PYTHONINTMAXSTRDIGITS="640")
+    done = subprocess.run(
+        [sys.executable, "-m", "sperner.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (done.returncode, done.stdout) == (64, "")
+    assert done.stderr.startswith(refusal) and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_only_bounds_lifts_the_int_digit_limit(capsys, tmp_path, int_digit_limit_640):

@@ -1,7 +1,9 @@
+import re
 from math import comb
 
 import pytest
 
+import sperner.construct
 from sperner import (
     Partition,
     PartitionSystem,
@@ -280,3 +282,24 @@ class TestAuto:
                     assert size == bound.lower, (n, k)
                 short += size != bound.lower
         assert short == 428
+
+
+def test_an_invalid_construction_is_an_internal_error(monkeypatch):
+    # (8, 2) extends construct_k2(7); a base holding one partition twice
+    # makes the extension invalid, and _verified refuses it
+    twice = Partition(7, [{0, 1, 2}, {3, 4, 5, 6}], 2)
+    base = PartitionSystem(7, 2, [twice, twice], name="twice")
+    monkeypatch.setitem(sperner.construct._BASES, "k2", lambda n, k: base)
+    message = (
+        "internal error: construction 'extend_by_one(twice)' produced an invalid system: "
+        "((0, 0, 1, 0, 'equal'), (0, 1, 1, 1, 'equal'), (1, 0, 0, 0, 'equal'))"
+    )
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        construct_auto(8, 2)
+
+
+def test_a_build_that_misses_its_plan_is_an_internal_error(monkeypatch):
+    # the plan for (7, 2) is construct_k2(7), 15 partitions; a base of 4 misses it
+    monkeypatch.setitem(sperner.construct._BASES, "k2", lambda n, k: construct_k2(n - 2))
+    with pytest.raises(RuntimeError, match="^internal error: the built construction does not match its plan$"):
+        construct_auto(7, 2)

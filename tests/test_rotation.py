@@ -11,6 +11,7 @@ from sperner import (
     solve_initial_2k1,
     verify_sperner,
 )
+from sperner import rotation
 from sperner.model import _turn, elements_of, mask_of
 
 
@@ -221,3 +222,12 @@ def test_difference_property_implies_valid_development_mixed_sizes(init):
     system = develop(init)
     assert len(system) == init.m  # repeated images are kept, for the verifier to report
     assert check_difference_property(init).ok == verify_sperner(system).valid
+
+
+def test_overlapping_starter_edges_are_an_internal_error(monkeypatch):
+    # the second run in place of the first: its edges are placed twice and
+    # the first run's points stay free, so more than four points are left
+    runs = rotation._starter_runs
+    monkeypatch.setattr(rotation, "_starter_runs", lambda h: runs(h)[1:2] + runs(h)[1:])
+    with pytest.raises(RuntimeError, match="^internal error: the starter edges for k=6 overlap$"):
+        solve_initial_2k1(6)

@@ -764,3 +764,11 @@ class TestSolveSp:
         outcome = solve_sp(10, 4, time_budget=0.5)
         assert (outcome.proven_optimal, outcome.nodes_explored) == (False, 2048)
         assert len(outcome.best) == outcome.size and verify_sperner(outcome.best).valid
+
+
+def test_an_invalid_search_witness_is_an_internal_error(monkeypatch):
+    from sperner.model import SpernerReport
+
+    monkeypatch.setattr(sperner.search, "verify_sperner", lambda system: SpernerReport(False, (), ("planted",)))
+    with pytest.raises(RuntimeError, match="^internal error: search witness failed verification$"):
+        solve_sp(7, 3)
