@@ -10,6 +10,7 @@ odd n; latin_lift and extend_by_one grow existing systems.
 from __future__ import annotations
 
 from itertools import combinations, pairwise
+from math import log10
 
 from .bounds import FIXTURES, Step, derivation
 from .fixtures import load_fixture
@@ -220,6 +221,20 @@ def plan_construction(n: int, k: int, first: str | None = None) -> tuple[int, tu
 MAX_PARTITIONS = 1_000_000
 
 
+def _worded(size: int) -> str:
+    """size with thousands separators or, past Python's int-to-str limit, its digit count.
+
+    The CLI lifts the limit, so it prints every planned size in full.
+    """
+    try:
+        return f"{size:,}"
+    except ValueError:  # past the limit, which the caller keeps
+        digits = int((size.bit_length() - 1) * log10(2))  # at most the digit count
+        while 10**digits <= size:
+            digits += 1
+        return f"a {digits:,}-digit number of"
+
+
 def construct_auto(n: int, k: int, first: str | None = None) -> PartitionSystem:
     """Build the largest system the implemented constructions guarantee for (n, k).
 
@@ -233,7 +248,7 @@ def construct_auto(n: int, k: int, first: str | None = None) -> PartitionSystem:
     size = chain[0].value
     if size > MAX_PARTITIONS:
         raise ValueError(
-            f"the planned system has {size:,} partitions, over the cap of {MAX_PARTITIONS:,}"
+            f"the planned system has {_worded(size)} partitions, over the cap of {MAX_PARTITIONS:,}"
         )
     base = chain[-1]
     system = _BASES[base.rule](base.n, k)

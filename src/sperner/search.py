@@ -3,11 +3,14 @@
 Candidate k-partitions, with classes of at least 2 elements, are
 generated block by block (the block holding the smallest unplaced
 element is drawn from the rest with itertools.combinations, the last
-block is what remains) and sorted into canonical lexicographic order.
-They come back as a PartitionSystem, the family type of the whole
-package, so serialize and verify_sperner take them as they take any
-system.  candidate_count counts them without enumerating, so solve_sp
-refuses a search whose adjacency would be too large before enumerating.
+block is what remains) and sorted into canonical lexicographic order by
+one string key per candidate, as serialize sorts.  _candidate_rows yields
+them as rows of class masks; solve_sp searches those rows and builds
+Partitions only for its witness.  enumerate_partitions wraps the rows in
+a PartitionSystem, the family type of the whole package, so serialize
+and verify_sperner take them as they take any system.  candidate_count
+counts them without enumerating, so solve_sp refuses a search whose
+adjacency would be too large before enumerating.
 Their pairwise-compatibility graph is built (two partitions are adjacent
 iff all their classes are mutually incomparable) from per-class conflict
 masks read off model.containments, the same class-containment index the
@@ -54,6 +57,8 @@ CompatibilityGraph(graph.adj) runs it on a candidate graph.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
+from functools import cache
 from itertools import combinations, compress
 from math import inf, isnan
 from typing import NamedTuple
@@ -122,77 +127,91 @@ def enumerate_partitions(n: int, k: int) -> PartitionSystem:
 
     A singleton class lies inside the class holding its element in every
     other partition, so a system of two or more partitions holds only
-    these, and n < 2k has none.  Generation goes block by block.  The next
-    block holds the smallest element not yet placed, and its other
-    elements are drawn with itertools.combinations from the rest; its size
-    leaves 2 elements for each block still to come, and the last block is
-    whatever remains.  So every partition appears once, and each block's element
-    tuple and mask are built once and shared by every candidate that
-    holds it.  Blocks open in ascending smallest element, so a stable sort
-    by size puts a candidate's classes in canonical order, and the
-    candidates are sorted by those element tuples (class_sets).
+    these, and n < 2k has none.  The partitions are the rows of
+    _candidate_rows, in its order, which is that of their element tuples
+    (class_sets).
+    """
+    return PartitionSystem(n, k, (Partition._from_canonical(n, k, row) for row in _candidate_rows(n, k)))
+
+
+def _candidate_rows(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Each candidate's class masks in canonical order, the candidates in canonical order.
+
+    Generation goes block by block.  The next block holds the smallest
+    element not yet placed, and its other elements are drawn with
+    itertools.combinations from the rest; its size leaves 2 elements for
+    each block still to come, and the last block is whatever remains.  So
+    every partition appears once.  A block is a string of codes, the
+    character e + 1 for each element e, and a candidate is one key while
+    the candidates are sorted: its blocks in canonical order, stable-sorted
+    by size since they open in ascending smallest element, joined by the
+    code 0.  String order on the keys is the order of the candidates'
+    element tuples, since a class that is a prefix of another ends with 0
+    where the other goes on with a larger code.  No element tuple is built.
+    Each row is read off its key, with a mask made once per distinct class,
+    and the key is dropped as its row is yielded, so the keys and the rows
+    taken so far make up one candidate set between them.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < 2 * k:
         raise ValueError(f"no candidates: n={n} cannot hold {k} classes of size >= 2")
-    # one row per candidate: (element tuples, masks), both in canonical class order
-    rows: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = []
-    blocks: list[tuple[tuple[int, ...], int]] = []  # (elements, mask), ascending first element
+    if k == 1:  # the one candidate, whose codes could pass chr's range
+        yield ((1 << n) - 1,)
+        return
+    keys: list[str] = []
+    blocks: list[str] = []  # the blocks placed so far, ascending smallest element
 
-    def rec(rest: tuple[int, ...], rest_mask: int, left: int) -> None:
+    def rec(rest: str, left: int) -> None:
         if left == 1:
-            blocks.append((rest, rest_mask))
-            row = sorted(blocks, key=_block_size)
-            rows.append((tuple([b[0] for b in row]), tuple([b[1] for b in row])))
+            blocks.append(rest)
+            keys.append("\0".join(sorted(blocks, key=len)))
             blocks.pop()
             return
         first, others = rest[0], rest[1:]
         for size in range(2, len(rest) - 2 * (left - 1) + 1):
             for combo in combinations(others, size - 1):
-                mask = 1 << first
-                for e in combo:
-                    mask |= 1 << e
-                blocks.append(((first, *combo), mask))
-                rec(tuple([e for e in others if not mask >> e & 1]), rest_mask ^ mask, left - 1)
+                block = first + "".join(combo)
+                blocks.append(block)
+                rec("".join([c for c in others if c not in block]), left - 1)
                 blocks.pop()
 
-    rec(tuple(range(n)), (1 << n) - 1, k)
-    rows.sort()
-    partitions = tuple(Partition._from_canonical(n, k, masks) for _, masks in rows)
-    rows.clear()  # rec's closure keeps rows alive until the cycle is collected
-    return PartitionSystem(n, k, partitions)
+    rec("".join(map(chr, range(1, n + 1))), k)
+    mask = cache(lambda codes: sum([1 << ord(c) - 1 for c in codes]))
+    keys.sort(reverse=True)  # popped from the end, so yielded ascending
+    while keys:
+        yield tuple(map(mask, keys.pop().split("\0")))
 
 
-def _block_size(block: tuple[tuple[int, ...], int]) -> int:
-    return len(block[0])
+def _owners(keys: Iterable[Iterable], num: int) -> dict:
+    """owners[x]: the mask of the vertices v among num whose keys[v] hold x.
 
-
-def _mask(vertices: list[int], num: int) -> int:
-    """Bitmask of vertices among num, set in one bytearray.
-
-    OR-ing 1 << v into a growing int instead costs a pass over it per vertex.
+    Each mask's bits are set in one bytearray, which is then read as an
+    int in its place; OR-ing 1 << v into a growing int instead costs a pass
+    over it per vertex.  The masks come in order of their first vertex.
     """
-    buf = bytearray(-(-num // 8))
-    for v in vertices:
-        buf[v >> 3] |= 1 << (v & 7)
-    return int.from_bytes(buf, "little")
+    size = -(-num // 8)
+    owners: dict = {}
+    for v, held in enumerate(keys):
+        i, bit = v >> 3, 1 << (v & 7)
+        for x in held:
+            buf = owners.get(x)
+            if buf is None:
+                buf = owners[x] = bytearray(size)
+            buf[i] |= bit
+    for x, buf in owners.items():
+        owners[x] = int.from_bytes(buf, "little")
+    return owners
 
 
 def _conflicts(masks_list: list[tuple[int, ...]]) -> dict[int, int]:
     """conflict[c]: the vertices holding class c or a present proper subset or superset of it.
 
-    owners[c], the vertices holding c, is read off one vertex list per
-    class, and each conflict adds the owners of the classes that
-    model.containments pairs with it, once per distinct class.
+    owners[c] are the vertices holding c (_owners), and each conflict adds
+    the owners of the classes that model.containments pairs with it, once
+    per distinct class.
     """
-    num = len(masks_list)
-    holders: dict[int, list[int]] = {}
-    for v, classes in enumerate(masks_list):
-        for c in classes:
-            holders.setdefault(c, []).append(v)
-    owners = {c: _mask(vertices, num) for c, vertices in holders.items()}
-    del holders
+    owners = _owners(masks_list, len(masks_list))
     conflict = dict(owners)
     for sub, sup in containments(owners):
         conflict[sub] |= owners[sup]
@@ -342,11 +361,12 @@ def _roots(classes: list[tuple[int, ...]], neighbourhood) -> list[tuple[int, int
     neighbourhood(R) gives N(R) as a mask over the candidates, and P is
     N(R) less the shapes of the roots before R.
     """
-    shapes: dict[tuple[int, ...], list[int]] = {}
-    for v, c in enumerate(classes):
-        # classes are in canonical order, by size, so their sizes name the shape
-        shapes.setdefault(tuple(map(int.bit_count, c)), []).append(v)
-    roots = [(neighbourhood(vs[0]), vs[0], _mask(vs, len(classes))) for vs in shapes.values()]
+    # classes are in canonical order, by size, so their sizes name the shape
+    shapes = _owners(((tuple(map(int.bit_count, c)),) for c in classes), len(classes))
+    roots = []
+    for shape in shapes.values():
+        r = (shape & -shape).bit_length() - 1
+        roots.append((neighbourhood(r), r, shape))
     roots.sort(key=lambda root: (-root[0].bit_count(), root[1]))
     units, alive = [], (1 << len(classes)) - 1
     for nbhd, r, shape in roots:
@@ -370,13 +390,15 @@ def _start(time_budget: float | None, target: int | None) -> tuple[float, float,
 
 
 def _clique_search(
-    units, rows, bound: int | None, target: float, deadline: float, cand, t0: float
+    units, rows, bound: int | None, target: float, deadline: float, t0: float, candidates
 ) -> SearchOutcome:
     """Branch and bound over units (P, root); the one search engine.
 
     rows(P) gives a unit's (adj, P, classes, members): the adjacency rows,
     P in their numbering, the class masks of each row's candidate, and
-    members[i], the candidate of row i (None keeps the numbering).  A unit
+    members[i], the candidate of row i (None keeps the numbering).
+    candidates holds every candidate's class masks, for the roots' classes
+    (None if no unit has a root).  A unit
     searches the cliques of adj inside P, with root, if not None, added to
     each.  Before every unit but the first the clock is polled, so an
     expired budget builds no further rows.  A unit is colored (_color) and
@@ -386,7 +408,8 @@ def _clique_search(
     over its own classes (grouped).  bound None takes the first unit's top
     color as the bound (the plain search's one unit is the whole graph).
     Every new incumbent meets one stop rule, best >= min(target, bound),
-    and the search is proven exactly when best < target.
+    and the search is proven exactly when best < target.  The outcome's
+    best is None; the caller builds the witness off its vertices.
     """
     best = nodes = 0
     best_vertices: tuple[int, ...] = ()
@@ -432,7 +455,7 @@ def _clique_search(
         expand.  A pair {root, v} never improves the incumbent: the first
         unit with a vertex in P has a seed of at least that vertex.
         """
-        fixed = cand.partitions[root].classes
+        fixed = candidates[root]
         groups: dict = {}
         top: dict = {}
         for seen, (v, color) in enumerate(zip(*coloring), 1):
@@ -477,12 +500,8 @@ def _clique_search(
     except _Stop as stop:
         proven = stop.proven
 
-    system = None
-    if cand is not None:
-        parts = [cand.partitions[v] for v in best_vertices]
-        system = PartitionSystem(cand.n, cand.k, parts, name=f"search({cand.n},{cand.k})")
     return SearchOutcome(
-        best=system,
+        best=None,
         vertices=best_vertices,
         size=best,
         proven_optimal=proven,
@@ -536,7 +555,14 @@ def max_clique(
         units, bound = _roots(classes, adj.__getitem__), _proved_upper(cand.n, cand.k)[0]
     else:
         classes, units, bound = None, [((1 << len(adj)) - 1, None)], None
-    return _clique_search(units, lambda P: (adj, P, classes, None), bound, target, deadline, cand, t0)
+    outcome = _clique_search(units, lambda P: (adj, P, classes, None), bound, target, deadline, t0, classes)
+    if cand is None:
+        return outcome
+    return outcome._replace(best=_witness(cand.n, cand.k, [cand.partitions[v] for v in outcome.vertices]))
+
+
+def _witness(n: int, k: int, partitions: list[Partition]) -> PartitionSystem:
+    return PartitionSystem(n, k, partitions, name=f"search({n},{k})")
 
 
 # The largest search solve_sp admits, counted as the full adjacency of its
@@ -545,8 +571,9 @@ def max_clique(
 # of the candidates, so 12-30% of these bytes).  The perfbench search cases
 # stay far below it, the largest being (11,5) at 17,325 candidates and
 # 37.5 MB.  (11,4), 56,980 candidates and 0.41 GB, is admitted (`search --n
-# 11 --k 4 --target 12` peaks at about 0.17 GB RSS); (12,4), 302,995
-# candidates and 11.5 GB, is refused before enumeration.
+# 11 --k 4 --target 12` peaks at about 0.16 GB RSS, most of it the first
+# root's rows); (12,4), 302,995 candidates and 11.5 GB, is refused before
+# enumeration.
 MAX_ADJ_BYTES = 1_000_000_000
 
 
@@ -558,10 +585,12 @@ def solve_sp(
 ) -> SearchOutcome:
     """Enumerate candidates, run the reduced search one root at a time, verify the witness.
 
-    It never builds the full graph.  N(R) of each root comes from the
-    per-class conflict masks, and the rows of P (see max_clique) come from
-    build_graph's row routine over P's class masks, freed before the next
-    root's.  The search is the one
+    It never builds the full graph, nor a Partition per candidate: the
+    candidates are _candidate_rows, and only the witness's rows become
+    Partitions.  N(R) of each root comes from the per-class conflict
+    masks, and the rows of P (see max_clique) come from build_graph's row
+    routine over P's class masks, freed before the next root's.  The
+    search is the one
     max_clique(build_graph(enumerate_partitions(n, k))) runs, with the same
     nodes; max_clique(CompatibilityGraph(graph.adj)) is the plain one.  The
     clock starts here, so enumeration and the rows count against
@@ -577,8 +606,7 @@ def solve_sp(
             f"the search has {count:,} candidates, whose adjacency takes {adj_bytes:,} bytes, "
             f"over the cap of {MAX_ADJ_BYTES:,}"
         )
-    candidates = enumerate_partitions(n, k)
-    classes = [p.classes for p in candidates.partitions]
+    classes = list(_candidate_rows(n, k))
     full = (1 << len(classes)) - 1
     conflict = _conflicts(classes)
     units = _roots(classes, lambda r: full ^ _blocked(classes[r], conflict))
@@ -589,9 +617,8 @@ def solve_sp(
         sub = [classes[v] for v in members]
         return _adjacency(sub), (1 << len(members)) - 1, sub, members
 
-    outcome = _clique_search(units, rows, _proved_upper(n, k)[0], target, deadline, candidates, t0)
-    assert outcome.best is not None
-    report = verify_sperner(outcome.best)
-    if not report.valid:
+    outcome = _clique_search(units, rows, _proved_upper(n, k)[0], target, deadline, t0, classes)
+    best = _witness(n, k, [Partition._from_canonical(n, k, classes[v]) for v in outcome.vertices])
+    if not verify_sperner(best).valid:
         raise RuntimeError("internal error: search witness failed verification")
-    return outcome
+    return outcome._replace(best=best)

@@ -302,7 +302,7 @@ def test_search_nan_time_limit_is_usage_error(capsys, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated a search with a NaN budget")
 
-    monkeypatch.setattr(sperner.search, "enumerate_partitions", no_enumeration)
+    monkeypatch.setattr(sperner.search, "_candidate_rows", no_enumeration)
     code, out, err = run(capsys, "search", "--n", "7", "--k", "3", "--time-limit", "nan")
     assert code == 64
     assert out == ""
@@ -315,7 +315,7 @@ def test_search_oversized_is_usage_error(capsys, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated a search over the cap")
 
-    monkeypatch.setattr(sperner.search, "enumerate_partitions", no_enumeration)
+    monkeypatch.setattr(sperner.search, "_candidate_rows", no_enumeration)
     code, out, err = run(capsys, "search", "--n", "12", "--k", "4", "--target", "16")
     assert code == 64
     assert out == ""

@@ -303,3 +303,14 @@ def test_a_build_that_misses_its_plan_is_an_internal_error(monkeypatch):
     monkeypatch.setitem(sperner.construct._BASES, "k2", lambda n, k: construct_k2(n - 2))
     with pytest.raises(RuntimeError, match="^internal error: the built construction does not match its plan$"):
         construct_auto(7, 2)
+
+
+@pytest.mark.parametrize(
+    "n, size", [(29, "37,442,160"), (2301, "a 691-digit number of"), (20001, "a 6,019-digit number of")]
+)
+def test_a_plan_over_the_cap_is_refused_in_its_own_words(int_digit_limit_640, n, size):
+    # C(2300, 1149) and C(20000, 9999) pass the 640 digits the test allows,
+    # so the refusal counts their digits; the CLI lifts the limit and prints them
+    message = f"the planned system has {size} partitions, over the cap of 1,000,000"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        construct_auto(n, 2)

@@ -24,9 +24,9 @@ from sperner import (
 )
 from sperner.bounds import _proved_upper
 from sperner.model import Partition, PartitionSystem
-from sperner.search import _color, _greedy_clique, _orbit_key, _set_bits
+from sperner.search import _candidate_rows, _color, _greedy_clique, _orbit_key, _set_bits
 
-from oracles import graph_from_edges, tiny_oracle
+from oracles import element_tuple_rows, graph_from_edges, tiny_oracle
 
 
 def shape_count(n, k, min_size):
@@ -187,6 +187,28 @@ class TestEnumeration:
                 enumerate_partitions(n, k)
             return
         assert list(enumerate_partitions(n, k).partitions) == expected
+
+    @pytest.mark.parametrize("n,k", [(n, k) for k in range(1, 6) for n in range(2 * k, 12)])
+    def test_rows_match_the_element_tuple_sort(self, n, k):
+        # one string key per candidate sorts the candidates as their nested
+        # element tuples do
+        assert list(_candidate_rows(n, k)) == element_tuple_rows(n, k)
+
+    def test_enumeration_holds_few_bytes_per_candidate(self):
+        # (11,5), 17,325 candidates: a Partition and its row take 152-153
+        # bytes per candidate at the peak, the rows alone 90-91 (Python
+        # 3.10-3.13); sorting (element tuples, masks) pairs peaked at 465-471
+        count = candidate_count(11, 5)
+        for enumerate_, per_candidate in [(enumerate_partitions, 200), (_candidate_rows, 120)]:
+            tracemalloc.start()
+            try:
+                built = tuple(enumerate_(11, 5))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(built) == count
+            assert peak < per_candidate * count, enumerate_
+            del built
 
     def test_candidate_count_matches_shape_count(self):
         for n in range(0, 16):
@@ -657,7 +679,7 @@ class TestSolveSp:
         def no_enumeration(*args):
             raise AssertionError("enumerated a search over the cap")
 
-        monkeypatch.setattr(sperner.search, "enumerate_partitions", no_enumeration)
+        monkeypatch.setattr(sperner.search, "_candidate_rows", no_enumeration)
         with pytest.raises(ValueError, match="302,995 candidates.*11,475,935,625 bytes"):
             solve_sp(12, 4)
         # (11,4), about 0.41 GB, is under the cap and goes on to enumerate
@@ -675,6 +697,27 @@ class TestSolveSp:
             tracemalloc.stop()
         assert outcome.size >= 9
         assert peak < count * -(-count // 8) // 2
+
+    def test_builds_partitions_only_for_its_witness(self, monkeypatch):
+        # the search reads its candidates' class masks off rows; enumerating
+        # (11,5) as Partitions built 17,325 of them.  A Partition is made
+        # through its constructor or through _from_canonical, which skips it.
+        built = []
+        init, from_canonical = Partition.__init__, Partition._from_canonical.__func__
+
+        def counting_init(self, *args, **kwargs):
+            built.append("init")
+            init(self, *args, **kwargs)
+
+        def counting_from_canonical(cls, *args):
+            built.append("from_canonical")
+            return from_canonical(cls, *args)
+
+        monkeypatch.setattr(Partition, "__init__", counting_init)
+        monkeypatch.setattr(Partition, "_from_canonical", classmethod(counting_from_canonical))
+        outcome = solve_sp(11, 5, target=9)
+        assert outcome.size == len(outcome.best) == 9
+        assert len(built) == 9
 
     @pytest.mark.parametrize("n,k,stop,cited", [(7, 3, 6, 5), (10, 4, 11, 10)])
     def test_stop_bound_leaves_out_cited_values(self, n, k, stop, cited):
