@@ -6,7 +6,9 @@ bitwise operations.  Partitions keep their classes in canonical order
 (size ascending, then smallest element ascending), which makes equality,
 hashing and serialization independent of how the classes were listed.
 containments is the one class-containment index; verify_sperner,
-search.build_graph and rotation.check_difference_property all read it.
+search.build_graph and rotation.check_difference_property all read it
+(build_graph only for a class set that one-element steps cannot walk,
+see search._lattice).
 It picks, per class and per smaller size present, the cheaper of a
 subset lookup and a scan of that size's classes, so its work grows with
 the classes of each size and no input needs a size limit.
@@ -227,8 +229,9 @@ def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
     """Yield every (sub, sup) pair of the given classes with sub a proper subset of sup.
 
     This is the one class-containment index: verify_sperner turns its pairs
-    into violations, build_graph into non-edges and
-    check_difference_property into failures.  For each class sup and each
+    into violations, build_graph into non-edges (where search._lattice
+    cannot step one element at a time) and check_difference_property into
+    failures.  For each class sup and each
     smaller size s present it runs the cheaper of two searches: look up
     the comb(|sup|, s) subsets of sup, or test the present classes of
     size s one by one (ties go to the lookup).  A subset of size |sup|-1

@@ -13,10 +13,12 @@ counts them without enumerating, so solve_sp refuses a search whose
 adjacency would be too large before enumerating.
 Their pairwise-compatibility graph is built (two partitions are adjacent
 iff all their classes are mutually incomparable) from per-class conflict
-masks read off model.containments, the same class-containment index the
-verifier reads.  A maximum Sperner system is a largest subfamily of the
-candidates whose classes form an antichain, which is exactly a maximum
-clique in that graph.
+masks, ORed down and up the lattice of classes (_lattice).  A full
+candidate set holds every set in its size range, so its lattice steps
+one element at a time; a class set with gaps reads model.containments,
+the same class-containment index the verifier reads.  A maximum Sperner
+system is a largest subfamily of the candidates whose classes form an
+antichain, which is exactly a maximum clique in that graph.
 
 The clique solver is a deterministic branch-and-bound with greedy-coloring
 upper bounds over bitmask candidate sets.  One routine, _color, does every
@@ -46,8 +48,12 @@ are the class-size shapes, the second are named by _orbit_key.  Groups
 are visited one after another and each is dropped once searched; since
 every group is invariant, the moved clique avoids the dropped groups
 too, so the pruning loses no maximum.  Each
-root is a unit that only ever reads the rows of its neighbourhood, so
-solve_sp builds those rows one root at a time and never the whole graph.
+root is a unit that only ever reads the rows of its neighbourhood P, and
+then one slice of P at a time: the coloring reads each row once, a seed
+try the rows of its start's neighbourhood, a depth-2 group the rows of
+its own P2.  So solve_sp holds no rows of P: it keeps one conflict mask
+per distinct class over P, computes each row the coloring reads, and
+builds each try's and each group's rows, freeing them before the next.
 The stop bound is bounds._proved_upper, the upper bound that sp_bounds
 prints less the two values it cites from computer searches, SP(7,3) = 5
 and SP(10,4) = 10.  Any other graph gets the plain search, and
@@ -56,7 +62,9 @@ CompatibilityGraph(graph.adj) runs it on a candidate graph.
 
 from __future__ import annotations
 
+import heapq
 import time
+from array import array
 from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import combinations, compress
@@ -64,7 +72,7 @@ from math import inf, isnan
 from typing import NamedTuple
 
 from .bounds import _proved_upper
-from .model import Partition, PartitionSystem, _malformed_rows, containments, verify_sperner
+from .model import Partition, PartitionSystem, _malformed_rows, containments, elements_of, verify_sperner
 
 __all__ = [
     "CompatibilityGraph",
@@ -177,6 +185,7 @@ def _candidate_rows(n: int, k: int) -> Iterator[tuple[int, ...]]:
                 blocks.pop()
 
     rec("".join(map(chr, range(1, n + 1))), k)
+    rec = None  # rec calls itself through its cell; clearing it leaves no cycle for the collector
     mask = cache(lambda codes: sum([1 << ord(c) - 1 for c in codes]))
     keys.sort(reverse=True)  # popped from the end, so yielded ascending
     while keys:
@@ -204,19 +213,59 @@ def _owners(keys: Iterable[Iterable], num: int) -> dict:
     return owners
 
 
-def _conflicts(masks_list: list[tuple[int, ...]]) -> dict[int, int]:
+def _lattice(classes: Iterable[int]) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """(below, above) over the classes given, keyed in ascending size, for _conflicts.
+
+    below[c] holds classes inside c from which every class inside c is
+    reached by steps down: the classes c less one element, when each of
+    those is a class, and otherwise every class properly inside c
+    (model.containments).  A full candidate set holds every set in its
+    size range, so there each step is one element and containments is
+    not run.  above[d] holds the c whose below holds d.
+    """
+    below: dict[int, list[int]] = {}
+    loose = set()  # classes with a class inside them that no step reaches
+    for c in sorted(classes, key=int.bit_count):
+        steps = [c ^ 1 << e for e in elements_of(c)]
+        if all(step in below for step in steps):
+            below[c] = steps
+        else:
+            below[c] = []
+            loose.add(c)
+    # a loose class of the smallest size has no class inside it
+    if loose and max(map(int.bit_count, loose)) > min(map(int.bit_count, below)):
+        for sub, sup in containments(below):
+            if sup in loose:
+                below[sup].append(sub)
+    above: dict[int, list[int]] = {c: [] for c in below}
+    for c, steps in below.items():
+        for d in steps:
+            above[d].append(c)
+    return below, above
+
+
+def _conflicts(owners: dict[int, int], lattice: tuple[dict, dict]) -> dict[int, int]:
     """conflict[c]: the vertices holding class c or a present proper subset or superset of it.
 
-    owners[c] are the vertices holding c (_owners), and each conflict adds
-    the owners of the classes that model.containments pairs with it, once
-    per distinct class.
+    owners[c] are the vertices holding c (_owners).  Over the lattice
+    (_lattice) of a superset of these classes, down[c] ORs the owners of
+    every class inside c, smallest classes first, and up[c] of every class
+    around it, largest first; a class no vertex holds adds nothing.
     """
-    owners = _owners(masks_list, len(masks_list))
-    conflict = dict(owners)
-    for sub, sup in containments(owners):
-        conflict[sub] |= owners[sup]
-        conflict[sup] |= owners[sub]
-    return conflict
+    below, above = lattice
+    down: dict[int, int] = {}
+    for c, steps in below.items():
+        mask = owners.get(c, 0)
+        for d in steps:
+            mask |= down[d]
+        down[c] = mask
+    up: dict[int, int] = {}
+    for c in reversed(above):
+        mask = owners.get(c, 0)
+        for d in above[c]:
+            mask |= up[d]
+        up[c] = mask
+    return {c: down[c] | up[c] for c in owners}
 
 
 def _blocked(classes: tuple[int, ...], conflict: dict[int, int]) -> int:
@@ -227,10 +276,36 @@ def _blocked(classes: tuple[int, ...], conflict: dict[int, int]) -> int:
     return blocked
 
 
-def _adjacency(masks_list: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """One row per partition's class masks: the complement of the union of its classes' conflicts."""
-    conflict = _conflicts(masks_list)
-    full = (1 << len(masks_list)) - 1
+class _StreamedRows:
+    """Adjacency rows over a list of partitions' class masks, each built when it is asked for.
+
+    Only the conflict masks are held, one per distinct class (_conflicts).
+    lattice (_lattice) may cover more classes than these; given, it is
+    not found again.  rows[v] is v's row: the complement of the union of
+    its classes' conflicts.  rows.of(S) builds the rows of the set S
+    alone, numbered in S's ascending vertex order, as (rows, S in that
+    numbering, S's vertices); the caller drops them when done.
+    """
+
+    def __init__(self, masks_list: list[tuple[int, ...]], lattice: tuple[dict, dict] | None = None):
+        owners = _owners(masks_list, len(masks_list))
+        self.masks_list, self.lattice = masks_list, _lattice(owners) if lattice is None else lattice
+        self.conflict = _conflicts(owners, self.lattice)
+        self.full = (1 << len(masks_list)) - 1
+
+    def __getitem__(self, v: int) -> int:
+        return self.full ^ _blocked(self.masks_list[v], self.conflict)
+
+    def of(self, S: int) -> tuple[tuple[int, ...], int, array]:
+        members = array("l", _set_bits(S))  # 8 bytes a vertex, not an int object each
+        rows = _adjacency([self.masks_list[v] for v in members], self.lattice)
+        return rows, (1 << len(members)) - 1, members
+
+
+def _adjacency(masks_list: list[tuple[int, ...]], lattice: tuple[dict, dict] | None = None) -> tuple[int, ...]:
+    """One row per partition's class masks (_StreamedRows), all of them built and kept."""
+    rows = _StreamedRows(masks_list, lattice)
+    full, conflict = rows.full, rows.conflict
     return tuple([full ^ _blocked(classes, conflict) for classes in masks_list])
 
 
@@ -289,28 +364,62 @@ def _set_bits(P: int) -> list[int]:
 _GREEDY_TRIES = 24
 
 
-def _greedy_clique(adj, P: int, bound: int, deadline: float = inf) -> int:
+class _Degrees:
+    """A unit's rows as its coloring reads them, each once, noting each vertex's degree in P.
+
+    degree[v] orders _greedy_clique's starts, so the seed makes no second
+    pass over P's rows.
+    """
+
+    def __init__(self, adj, P: int):
+        self.adj, self.P, self.degree = adj, P, array("l", [0]) * P.bit_length()
+
+    def __getitem__(self, v: int) -> int:
+        row = self.adj[v]
+        self.degree[v] = (row & self.P).bit_count()
+        return row
+
+
+def _rows_of(adj, S: int) -> tuple:
+    """The rows of the set S as (rows, S in their numbering, members), members[i] being row i's vertex.
+
+    Streamed rows build S's own, in S's ascending order (_StreamedRows.of).
+    Stored rows serve S as they are, with no copy, and members None keeps
+    their numbering.
+    """
+    return adj.of(S) if isinstance(adj, _StreamedRows) else (adj, S, None)
+
+
+def _greedy_clique(adj, P: int, bound: int, deadline: float = inf, degree=None) -> int:
     """Deterministic greedy lower bound: best clique mask inside P over a few dense seeds.
 
-    Starts are P's vertices of most neighbours in P, and each step picks
-    the candidate with most neighbours among those left.  The first try
-    always completes, so a clique is reported even when the deadline has
-    already passed; later tries stop at the deadline or once a clique meets
-    the bound.
+    Starts are P's vertices of most neighbours in P, ties by index, read
+    off degree[v] when a coloring pass has counted them (_Degrees).  A try
+    from s repeatedly picks, among s's neighbours left in P, the one with
+    most neighbours among those left.  It reads the rows of s's
+    neighbourhood in P (_rows_of) and drops them before the next try
+    builds its own.  The first try always completes, so a clique is
+    reported even when the deadline has already passed; later tries stop
+    at the deadline or once a clique meets the bound.
     """
+    if degree is None:
+        degree = {v: (adj[v] & P).bit_count() for v in _set_bits(P)}
     best = 0
-    starts = sorted(_set_bits(P), key=lambda v: (-(adj[v] & P).bit_count(), v))[:_GREEDY_TRIES]
-    for s in starts:
-        clique = 1 << s
-        Q = adj[s] & P
+    for s in heapq.nsmallest(_GREEDY_TRIES, _set_bits(P), key=lambda v: (-degree[v], v)):
+        sub, Q, members = _rows_of(adj, adj[s] & P)
+        clique = 0
         while Q:
             pick, pick_score = -1, -1
             for v in _set_bits(Q):
-                score = (adj[v] & Q).bit_count()
+                score = (sub[v] & Q).bit_count()
                 if score > pick_score:
                     pick_score, pick = score, v
             clique |= 1 << pick
-            Q &= adj[pick]
+            Q &= sub[pick]
+        if members is not None:
+            clique = sum([1 << members[v] for v in _set_bits(clique)])
+        sub = members = None  # this try's rows go before the next try builds its own
+        clique |= 1 << s
         if clique.bit_count() > best.bit_count():
             best = clique
         if best.bit_count() >= bound or time.perf_counter() > deadline:
@@ -390,43 +499,47 @@ def _start(time_budget: float | None, target: int | None) -> tuple[float, float,
 
 
 def _clique_search(
-    units, rows, bound: int | None, target: float, deadline: float, t0: float, candidates
+    units, view, bound: int | None, target: float, deadline: float, t0: float, candidates
 ) -> SearchOutcome:
     """Branch and bound over units (P, root); the one search engine.
 
-    rows(P) gives a unit's (adj, P, classes, members): the adjacency rows,
-    P in their numbering, the class masks of each row's candidate, and
-    members[i], the candidate of row i (None keeps the numbering).
-    candidates holds every candidate's class masks, for the roots' classes
-    (None if no unit has a root).  A unit
-    searches the cliques of adj inside P, with root, if not None, added to
-    each.  Before every unit but the first the clock is polled, so an
-    expired budget builds no further rows.  A unit is colored (_color) and
-    skipped when that cannot beat the incumbent; otherwise the greedy seed
-    runs inside P, the clock is polled once, and the unit branches: the
-    plain search expands on its coloring, a root groups P by _orbit_key
-    over its own classes (grouped).  bound None takes the first unit's top
-    color as the bound (the plain search's one unit is the whole graph).
-    Every new incumbent meets one stop rule, best >= min(target, bound),
-    and the search is proven exactly when best < target.  The outcome's
-    best is None; the caller builds the witness off its vertices.
+    view(P) gives a unit's (P, classes, members, adj): P in the unit's own
+    numbering, the class masks of each of its vertices' candidates,
+    members[i], the candidate of vertex i (None keeps the numbering), and
+    adj, which gives the row of a vertex as adj[v] and the rows of a set
+    through _rows_of.  candidates holds every candidate's class masks, for
+    the roots' classes (None if no unit has a root).  A unit searches the
+    cliques inside P, with root, if not None, added to each.  Before every
+    unit but the first the clock is polled, so an expired budget builds no
+    further rows.  A unit is colored (_color), which reads each vertex's
+    row once and counts its degree in P (_Degrees), and skipped when that
+    cannot beat the incumbent; otherwise the greedy seed runs inside P,
+    the clock is polled once, and the unit branches.  The plain search
+    expands on its coloring; a root groups P by _orbit_key over its own
+    classes (grouped), and each group expands in the rows of its own P2,
+    dropped before the next group builds its own.  bound None takes the
+    first unit's top color as the bound (the plain search's one unit is
+    the whole graph).  Every new incumbent meets one stop rule,
+    best >= min(target, bound), and the search is proven exactly when
+    best < target.  The outcome's best is None; the caller builds the
+    witness off its vertices.
     """
     best = nodes = 0
     best_vertices: tuple[int, ...] = ()
 
     def improve(size: int, clique: int) -> None:
+        """clique, in the numbering of the rows being searched, with held, is the new incumbent."""
         nonlocal best, best_vertices
         vertices = _set_bits(clique)
-        if members is not None:
-            vertices = [members[v] for v in vertices]
-        if root is not None:
-            vertices.append(root)
-        best, best_vertices = size, tuple(sorted(vertices))
+        for numbering in (inner, members):  # a group's rows, then the unit's, back to the candidates
+            if numbering is not None:
+                vertices = [numbering[v] for v in vertices]
+        best, best_vertices = size, tuple(sorted(vertices + held))
         if best >= min(target, bound):
             raise _Stop(best < target)
 
     def expand(size: int, clique: int, P: int, coloring=None) -> None:
-        """Branch on P's vertices, highest color first; a unit passes its coloring."""
+        """Branch on P's vertices in adj, highest color first; a unit passes its coloring."""
         nonlocal nodes
         if coloring is None:
             nodes += 1
@@ -450,11 +563,14 @@ def _clique_search(
     def grouped(P: int, coloring) -> None:
         """Depth 2: group P by the root's _orbit_key; branch on each group's first vertex, then drop it.
 
-        coloring is _color(P, adj).  Groups go in descending order of their
+        coloring is the unit's.  Groups go in descending order of their
         highest greedy color, so the color bound prunes the rest as in
-        expand.  A pair {root, v} never improves the incumbent: the first
-        unit with a vertex in P has a seed of at least that vertex.
+        expand.  A group whose first vertex Q leaves P2 = P & N(Q) big
+        enough expands in P2's own rows, with root and Q held.  A pair
+        {root, Q} never improves the incumbent: the first unit with a
+        vertex in P has a seed of at least that vertex.
         """
+        nonlocal adj, inner, held
         fixed = candidates[root]
         groups: dict = {}
         top: dict = {}
@@ -468,37 +584,48 @@ def _clique_search(
             if 1 + top[g] <= best:
                 return
             group = groups[g]
-            bit = group & -group
-            P2 = P & adj[bit.bit_length() - 1]
+            first = (group & -group).bit_length() - 1
+            P2 = P & rows[first]
             if 2 + P2.bit_count() > best:
-                expand(2, bit, P2)
+                adj, P2, inner = _rows_of(rows, P2)
+                held = [root, first if members is None else members[first]]
+                expand(2, 0, P2)
+                adj = inner = None  # free this group's rows before the next group builds its own
             P &= ~group
 
     try:
         for i, (P, root) in enumerate(units):
             if i and time.perf_counter() > deadline:
                 raise _Stop(False)
-            adj, P, classes, members = rows(P)
-            base = int(root is not None)
-            coloring = _color(P, adj)
+            P, classes, members, rows = view(P)
+            inner, held = None, [] if root is None else [root]
+            degrees = _Degrees(rows, P)
+            coloring = _color(P, degrees)
             top = coloring[1][-1] if P else 0
             if bound is None:
                 bound = top
-            if base + top > best:
-                seed = _greedy_clique(adj, P, min(target, bound) - base, deadline)
-                if base + seed.bit_count() > best:
-                    improve(base + seed.bit_count(), seed)
+            if len(held) + top > best:
+                seed = _greedy_clique(rows, P, min(target, bound) - len(held), deadline, degrees.degree)
+                if len(held) + seed.bit_count() > best:
+                    improve(len(held) + seed.bit_count(), seed)
                 if time.perf_counter() > deadline:
                     raise _Stop(False)
                 if root is None:
+                    # P is all of the unit's numbering, so its rows keep it and the coloring holds
+                    adj, P, inner = _rows_of(rows, P)
                     expand(0, 0, P, coloring)
                 else:
                     grouped(P, coloring)
-            # free this unit's rows before the next unit builds its own
-            adj = classes = members = coloring = None
+            # free this unit's masks before the next unit builds its own
+            rows = adj = classes = members = degrees = coloring = None
         proven = True
     except _Stop as stop:
         proven = stop.proven
+    finally:
+        # expand reaches itself through its closure cell; clearing that cell
+        # breaks the cycle, so the rows it reaches go on return, not at the
+        # next collection, however the search ended
+        expand = None
 
     return SearchOutcome(
         best=None,
@@ -539,8 +666,9 @@ def max_clique(
     the greedy seed runs inside P.  Under a root, groups go in descending
     order of the highest greedy color among their members, so once 1 plus
     that color cannot beat the incumbent, no later group can either.
-    solve_sp builds the same rows one root at a time and explores the same
-    nodes.
+    Every row the search asks for, of one vertex or of a seed try's or a
+    group's set, is read off graph.adj with no copy.  solve_sp builds those
+    rows as they are asked for and explores the same nodes.
 
     Any other graph gets the plain search: it colors the whole graph once,
     the top color is the stop bound, and it branches on that coloring as on
@@ -555,7 +683,7 @@ def max_clique(
         units, bound = _roots(classes, adj.__getitem__), _proved_upper(cand.n, cand.k)[0]
     else:
         classes, units, bound = None, [((1 << len(adj)) - 1, None)], None
-    outcome = _clique_search(units, lambda P: (adj, P, classes, None), bound, target, deadline, t0, classes)
+    outcome = _clique_search(units, lambda P: (P, classes, None, adj), bound, target, deadline, t0, classes)
     if cand is None:
         return outcome
     return outcome._replace(best=_witness(cand.n, cand.k, [cand.partitions[v] for v in outcome.vertices]))
@@ -567,12 +695,13 @@ def _witness(n: int, k: int, partitions: list[Partition]) -> PartitionSystem:
 
 # The largest search solve_sp admits, counted as the full adjacency of its
 # N candidates, N bitmask rows of N bits, N * ceil(N/8) bytes, although the
-# search only builds the rows of one root's neighbourhood at a time (35-55%
-# of the candidates, so 12-30% of these bytes).  The perfbench search cases
-# stay far below it, the largest being (11,5) at 17,325 candidates and
-# 37.5 MB.  (11,4), 56,980 candidates and 0.41 GB, is admitted (`search --n
-# 11 --k 4 --target 12` peaks at about 0.16 GB RSS, most of it the first
-# root's rows); (12,4), 302,995 candidates and 11.5 GB, is refused before
+# search only builds the rows of one seed try's or one depth-2 group's part
+# of a root's neighbourhood at a time (at (11,4) the largest is 18,643 of
+# the 56,980 candidates, so about 11% of these bytes).  The perfbench
+# search cases stay far below it, the largest being (11,5) at 17,325
+# candidates and 37.5 MB.  (11,4), 0.41 GB, is admitted (`search --n 11
+# --k 4 --target 12` peaks at about 74 MB RSS, most of it the largest seed
+# try's rows); (12,4), 302,995 candidates and 11.5 GB, is refused before
 # enumeration.
 MAX_ADJ_BYTES = 1_000_000_000
 
@@ -588,8 +717,10 @@ def solve_sp(
     It never builds the full graph, nor a Partition per candidate: the
     candidates are _candidate_rows, and only the witness's rows become
     Partitions.  N(R) of each root comes from the per-class conflict
-    masks, and the rows of P (see max_clique) come from build_graph's row
-    routine over P's class masks, freed before the next root's.  The
+    masks.  A root keeps the conflict masks of its P (see max_clique)
+    over P's own numbering and no rows (_StreamedRows): its coloring
+    computes each row as it reads it, and each seed try and each depth-2
+    group builds the rows of its own set, freed before the next.  The
     search is the one
     max_clique(build_graph(enumerate_partitions(n, k))) runs, with the same
     nodes; max_clique(CompatibilityGraph(graph.adj)) is the plain one.  The
@@ -607,17 +738,17 @@ def solve_sp(
             f"over the cap of {MAX_ADJ_BYTES:,}"
         )
     classes = list(_candidate_rows(n, k))
-    full = (1 << len(classes)) - 1
-    conflict = _conflicts(classes)
-    units = _roots(classes, lambda r: full ^ _blocked(classes[r], conflict))
-    del conflict  # the roots' neighbourhoods are all the search needs of it
+    rows = _StreamedRows(classes)
+    units, lattice = _roots(classes, rows.__getitem__), rows.lattice
+    del rows  # the roots' neighbourhoods are all the search needs of its conflict masks
 
-    def rows(P: int):
-        members = _set_bits(P)
+    def view(P: int):
+        members = array("l", _set_bits(P))
         sub = [classes[v] for v in members]
-        return _adjacency(sub), (1 << len(members)) - 1, sub, members
+        rows = _StreamedRows(sub, lattice)
+        return rows.full, sub, members, rows
 
-    outcome = _clique_search(units, rows, _proved_upper(n, k)[0], target, deadline, t0, classes)
+    outcome = _clique_search(units, view, _proved_upper(n, k)[0], target, deadline, t0, classes)
     best = _witness(n, k, [Partition._from_canonical(n, k, classes[v]) for v in outcome.vertices])
     if not verify_sperner(best).valid:
         raise RuntimeError("internal error: search witness failed verification")

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import time
@@ -76,6 +77,17 @@ def restricted_growth_reference(n, k, min_size):
     rec(0)
     out.sort(key=lambda p: p.class_sets)
     return out
+
+
+def definition_adjacency(system):
+    """u ~ v iff u != v and every class of u is incomparable with every class of v, pair by pair."""
+    parts = [p.classes for p in system.partitions]
+    adj = [0] * len(parts)
+    for (u, cu), (v, cv) in combinations(enumerate(parts), 2):
+        if all(starmap(incomparable, product(cu, cv))):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
 
 
 def lsb_peeling_greedy(adj, num, bound, within):
@@ -273,13 +285,17 @@ class TestGraph:
         # u ~ v iff u != v and every class of u is incomparable with every class of v;
         # build_graph takes any system, singleton classes included
         candidates = PartitionSystem(n, k, restricted_growth_reference(n, k, min_size))
-        parts = [p.classes for p in candidates.partitions]
-        expected = [0] * len(parts)
-        for (u, cu), (v, cv) in combinations(enumerate(parts), 2):
-            if all(starmap(incomparable, product(cu, cv))):
-                expected[u] |= 1 << v
-                expected[v] |= 1 << u
-        assert list(build_graph(candidates).adj) == expected
+        assert list(build_graph(candidates).adj) == definition_adjacency(candidates)
+
+    @pytest.mark.parametrize("n,k", [(7, 2), (8, 3), (8, 4)])
+    def test_adjacency_matches_definition_on_sampled_systems(self, n, k):
+        # a sample misses classes between the ones it holds, so the conflict
+        # masks cannot step down one element at a time and read containments
+        rng = random.Random(n * 10 + k)
+        everything = restricted_growth_reference(n, k, 1)
+        for size in (2, 5, len(everything) // 3, len(everything) // 2):
+            candidates = PartitionSystem(n, k, rng.sample(everything, size))
+            assert list(build_graph(candidates).adj) == definition_adjacency(candidates), size
 
 
 class TestGreedySeed:
@@ -353,6 +369,13 @@ class TestColor:
         top = max(complement_row_color(P, nadj)[1], default=0)
         for t in range(top + 2):
             assert _color(P, graph.adj, t) == complement_row_color(P, nadj, t)
+
+
+def first_root_size(n, k):
+    """|P| of the reduced search's first unit: N(R) of the root with the largest neighbourhood."""
+    classes = list(_candidate_rows(n, k))
+    (P, _), *_ = sperner.search._roots(classes, sperner.search._StreamedRows(classes).__getitem__)
+    return P.bit_count()
 
 
 def assert_plain(graph):
@@ -660,10 +683,32 @@ class TestReducedSearch:
         outcome = solve_sp(n, k, target=target)
         got = (outcome.size, outcome.proven_optimal, outcome.nodes_explored, outcome.root_bound)
         assert got == expected
-        # solve_sp builds each root's rows on its own; max_clique reads them off
-        # the full graph, and the two explore the same nodes to the same witness
+        # solve_sp builds rows per seed try and per depth-2 group; max_clique reads
+        # them off the full graph, and the two explore the same nodes to the same witness
         whole = max_clique(build_graph(enumerate_partitions(n, k)), target=target)
         assert whole._replace(best=None, elapsed=0) == outcome._replace(best=None, elapsed=0)
+
+    @pytest.mark.parametrize(
+        "n,k,target,vertices",
+        [
+            (9, 4, None, (0, 179, 226, 351, 435, 591, 720, 835)),
+            (8, 3, None, (1, 332, 347, 368, 397, 418, 431, 447)),
+            # the target cells end on a root's greedy seed, so these are its cliques
+            (10, 4, 9, (1, 492, 983, 1601, 2116, 2556, 3001, 3538, 4002)),
+            (11, 5, 9, (0, 1376, 2570, 4421, 5367, 7308, 7905, 11061, 12483)),
+            (12, 6, 11, (0, 961, 1922, 3097, 4058, 5276, 6178, 7232, 8330, 9398, 10250)),
+            (
+                10,
+                3,
+                32,
+                (119, 157, 204, 228, 259, 295, 331, 367, 527, 569, 596, 634, 667, 698, 738, 884)
+                + (923, 964, 990, 1036, 1065, 1218, 1252, 1289, 1322, 1351, 1506, 1579, 1801, 1839, 2183, 2949),
+            ),
+        ],
+    )
+    def test_pinned_witnesses(self, n, k, target, vertices):
+        # the candidates of the witness, as indices in canonical order
+        assert solve_sp(n, k, target=target).vertices == vertices
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_n9_matches_exact_bounds(self, k):
@@ -686,9 +731,13 @@ class TestSolveSp:
         with pytest.raises(AssertionError, match="enumerated"):
             solve_sp(11, 4)
 
-    def test_holds_one_roots_rows_at_a_time(self):
-        # (11,5): 17,325 candidates, whose full adjacency takes 37.5 MB
-        count = candidate_count(11, 5)
+    def test_peak_stays_below_one_roots_rows(self):
+        # (11,5): the first root's P holds 8,256 of the 17,325 candidates, and its
+        # rows would take |P|^2/8 bytes, 8.5 MB.  The search holds one conflict
+        # mask per class over P and builds rows only for one seed try's or one
+        # depth-2 group's part of P at a time (3,977 vertices at most here), so
+        # its whole peak, the candidates included, stays below those rows.
+        assert first_root_size(11, 5) == 8256
         tracemalloc.start()
         try:
             outcome = solve_sp(11, 5, target=9)
@@ -696,7 +745,45 @@ class TestSolveSp:
         finally:
             tracemalloc.stop()
         assert outcome.size >= 9
-        assert peak < count * -(-count // 8) // 2
+        assert peak < 8256 * 8256 // 8
+
+    @pytest.mark.slow
+    def test_11_4_peak_stays_below_half_a_roots_rows(self):
+        # (11,4): the first root's P holds 31,428 of the 56,980 candidates, whose
+        # rows would take 118 MiB; a seed try's rows take 44.7 MiB at most
+        assert first_root_size(11, 4) == 31428
+        tracemalloc.start()
+        try:
+            outcome = solve_sp(11, 4, target=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (outcome.size, outcome.nodes_explored) == (12, 10)
+        assert peak < 31428 * 31428 // 8 // 2
+
+    def test_no_rows_outlive_the_search(self):
+        # expand and the enumeration's rec call themselves through their closure
+        # cells.  Were those cycles left in place, a search stopped by its target
+        # would keep its last unit's masks and rows until the collector ran; with
+        # the collector off, three (11,5) searches in a row held 17.9 MiB that way.
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            solve_sp(11, 5, target=9)
+            held = tracemalloc.get_traced_memory()[0]  # the interpreter's free lists, filled once
+            solve_sp(11, 5, target=9)
+            solve_sp(11, 5, target=9)
+            grown = tracemalloc.get_traced_memory()[0] - held
+            cycles = gc.collect()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert held < 1 << 20
+        assert grown < 64 << 10
+        assert cycles == 0  # nothing was left for the collector
 
     def test_builds_partitions_only_for_its_witness(self, monkeypatch):
         # the search reads its candidates' class masks off rows; enumerating
@@ -752,23 +839,34 @@ class TestSolveSp:
                     assert _proved_upper(n, k)[0] == sp_bounds(n, k).upper, (n, k)
 
     def test_budget_expiring_after_the_first_root_builds_no_later_rows(self, monkeypatch):
-        clock, built = FakeClock(), []
-        adjacency = sperner.search._adjacency
+        # every row, of a whole set or of one vertex, is built by _blocked; each
+        # root makes its masks and then colors its P through _Degrees
+        clock, units, rows = FakeClock(), [], []
+        degrees, blocked = sperner.search._Degrees, sperner.search._blocked
 
-        def spy(masks_list):
-            built.append(clock.reads)
-            return adjacency(masks_list)
+        def unit_spy(adj, P):
+            units.append(clock.reads)
+            return degrees(adj, P)
+
+        def rows_spy(classes, conflict):
+            rows.append(clock.reads)
+            return blocked(classes, conflict)
 
         monkeypatch.setattr(sperner.search, "time", clock)
-        monkeypatch.setattr(sperner.search, "_adjacency", spy)
+        monkeypatch.setattr(sperner.search, "_Degrees", unit_spy)
+        monkeypatch.setattr(sperner.search, "_blocked", rows_spy)
         whole = solve_sp(8, 3, time_budget=0.5)
-        assert whole.proven_optimal and len(built) == 2  # (8,3) has two roots
-        # the last reading before the second root's rows is the poll before that root
-        poll = built[1]
+        assert whole.proven_optimal and len(units) == 2  # (8,3) has two roots
+        # building the second root's masks reads no clock, so the last reading
+        # before its coloring is the poll before that root
+        poll = units[1]
+        assert max(rows) >= poll
         clock.rerun(poll)
-        built.clear()
+        units.clear()
+        rows.clear()
         outcome = solve_sp(8, 3, time_budget=0.5)
-        assert len(built) == 1 and clock.reads == poll + 1  # the one reading after it: elapsed
+        assert len(units) == 1 and clock.reads == poll + 1  # the one reading after it: elapsed
+        assert max(rows) < poll  # no row is built from that poll on
         assert not outcome.proven_optimal
         # the first root's incumbent is the maximum; the second root's node goes unexplored
         assert (outcome.size, outcome.vertices) == (whole.size, whole.vertices) and outcome.size == 8
