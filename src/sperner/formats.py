@@ -73,10 +73,13 @@ def serialize(system: PartitionSystem, fmt: str = "text") -> str:
     chunk's keys are freed once it is rendered: the keys and the finished
     document are never held whole together.  JSON rows, and text labels
     past chr's range (above a million), come from a plain sort of element
-    lists.
+    lists.  A name with a line break (any that str.splitlines splits)
+    raises ValueError in text, since its rest would read as other lines.
     """
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'json')")
+    if fmt == "text" and system.name and system.name.splitlines() != [system.name]:
+        raise ValueError(f"the name {system.name!r} holds a line break, which a text document cannot hold")
     parts = system.partitions
     top = max(map(int.bit_length, chain.from_iterable(p.classes for p in parts)), default=0)
     if fmt == "text" and top < sys.maxunicode:

@@ -51,13 +51,14 @@ too, so the pruning loses no maximum.  Each
 root is a unit that only ever reads the rows of its neighbourhood P, and
 then one slice of P at a time: the coloring reads each row once, a seed
 try the rows of its start's neighbourhood, a depth-2 group the rows of
-its own P2.  So solve_sp holds no rows of P: it keeps one conflict mask
-per distinct class over P, computes each row the coloring reads, and
-builds each try's and each group's rows, freeing them before the next.
+its own P2.  So the reduced search (_reduced_search, which solve_sp and
+max_clique both run) holds no rows of P: it keeps one conflict mask per
+distinct class over P, computes each row the coloring reads, and builds
+each try's and each group's rows, freeing them before the next.
 The stop bound is bounds._proved_upper, the upper bound that sp_bounds
 prints less the two values it cites from computer searches, SP(7,3) = 5
-and SP(10,4) = 10.  Any other graph gets the plain search, and
-CompatibilityGraph(graph.adj) runs it on a candidate graph.
+and SP(10,4) = 10.  Any other graph gets the plain search on its own
+rows, and CompatibilityGraph(graph.adj) runs it on a candidate graph.
 """
 
 from __future__ import annotations
@@ -380,33 +381,25 @@ class _Degrees:
         return row
 
 
-def _rows_of(adj, S: int) -> tuple:
-    """The rows of the set S as (rows, S in their numbering, members), members[i] being row i's vertex.
-
-    Streamed rows build S's own, in S's ascending order (_StreamedRows.of).
-    Stored rows serve S as they are, with no copy, and members None keeps
-    their numbering.
-    """
-    return adj.of(S) if isinstance(adj, _StreamedRows) else (adj, S, None)
-
-
 def _greedy_clique(adj, P: int, bound: int, deadline: float = inf, degree=None) -> int:
     """Deterministic greedy lower bound: best clique mask inside P over a few dense seeds.
 
     Starts are P's vertices of most neighbours in P, ties by index, read
     off degree[v] when a coloring pass has counted them (_Degrees).  A try
     from s repeatedly picks, among s's neighbours left in P, the one with
-    most neighbours among those left.  It reads the rows of s's
-    neighbourhood in P (_rows_of) and drops them before the next try
-    builds its own.  The first try always completes, so a clique is
-    reported even when the deadline has already passed; later tries stop
-    at the deadline or once a clique meets the bound.
+    most neighbours among those left.  Stored rows serve it as they are;
+    streamed rows build the rows of s's neighbourhood in P alone
+    (_StreamedRows.of), dropped before the next try builds its own.  The
+    first try always completes, so a clique is reported even when the
+    deadline has already passed; later tries stop at the deadline or once
+    a clique meets the bound.
     """
     if degree is None:
         degree = {v: (adj[v] & P).bit_count() for v in _set_bits(P)}
     best = 0
     for s in heapq.nsmallest(_GREEDY_TRIES, _set_bits(P), key=lambda v: (-degree[v], v)):
-        sub, Q, members = _rows_of(adj, adj[s] & P)
+        S = adj[s] & P
+        sub, Q, members = adj.of(S) if isinstance(adj, _StreamedRows) else (adj, S, None)
         clique = 0
         while Q:
             pick, pick_score = -1, -1
@@ -498,24 +491,19 @@ def _start(time_budget: float | None, target: int | None) -> tuple[float, float,
     return t0, inf if time_budget is None else t0 + time_budget, inf if target is None else target
 
 
-def _clique_search(
-    units, view, bound: int | None, target: float, deadline: float, t0: float, candidates
-) -> SearchOutcome:
-    """Branch and bound over units (P, root); the one search engine.
+def _clique_search(units, bound: int | None, target: float, deadline: float, t0: float) -> SearchOutcome:
+    """Branch and bound over units; the one search engine.
 
-    view(P) gives a unit's (P, classes, members, adj): P in the unit's own
-    numbering, the class masks of each of its vertices' candidates,
-    members[i], the candidate of vertex i (None keeps the numbering), and
-    adj, which gives the row of a vertex as adj[v] and the rows of a set
-    through _rows_of.  candidates holds every candidate's class masks, for
-    the roots' classes (None if no unit has a root).  A unit searches the
-    cliques inside P, with root, if not None, added to each.  Before every
-    unit but the first the clock is polled, so an expired budget builds no
-    further rows.  A unit is colored (_color), which reads each vertex's
-    row once and counts its degree in P (_Degrees), and skipped when that
-    cannot beat the incumbent; otherwise the greedy seed runs inside P,
-    the clock is polled once, and the unit branches.  The plain search
-    expands on its coloring; a root groups P by _orbit_key over its own
+    A unit is (P, rows, members, root, fixed): P in the unit's own
+    numbering, rows[v] the row of its vertex v, and members[i] the
+    candidate of vertex i (None keeps the numbering).  root, if not None,
+    is the candidate added to each of the unit's cliques, fixed its class
+    masks, and rows are then _StreamedRows.  A unit searches the cliques
+    inside P.  It is colored (_color), which reads each vertex's row once
+    and counts its degree in P (_Degrees), and skipped when that cannot
+    beat the incumbent; otherwise the greedy seed runs inside P, the clock
+    is polled once, and the unit branches.  The plain search expands on
+    its coloring in its own rows; a root groups P by _orbit_key over its
     classes (grouped), and each group expands in the rows of its own P2,
     dropped before the next group builds its own.  bound None takes the
     first unit's top color as the bound (the plain search's one unit is
@@ -571,11 +559,10 @@ def _clique_search(
         vertex in P has a seed of at least that vertex.
         """
         nonlocal adj, inner, held
-        fixed = candidates[root]
         groups: dict = {}
         top: dict = {}
         for seen, (v, color) in enumerate(zip(*coloring), 1):
-            g = _orbit_key(fixed, classes[v])
+            g = _orbit_key(fixed, rows.masks_list[v])
             groups[g] = groups.get(g, 0) | (1 << v)
             top[g] = color
             if seen % 256 == 0 and time.perf_counter() > deadline:
@@ -587,17 +574,14 @@ def _clique_search(
             first = (group & -group).bit_length() - 1
             P2 = P & rows[first]
             if 2 + P2.bit_count() > best:
-                adj, P2, inner = _rows_of(rows, P2)
-                held = [root, first if members is None else members[first]]
+                adj, P2, inner = rows.of(P2)
+                held = [root, members[first]]
                 expand(2, 0, P2)
                 adj = inner = None  # free this group's rows before the next group builds its own
             P &= ~group
 
     try:
-        for i, (P, root) in enumerate(units):
-            if i and time.perf_counter() > deadline:
-                raise _Stop(False)
-            P, classes, members, rows = view(P)
+        for P, rows, members, root, fixed in units:
             inner, held = None, [] if root is None else [root]
             degrees = _Degrees(rows, P)
             coloring = _color(P, degrees)
@@ -611,13 +595,12 @@ def _clique_search(
                 if time.perf_counter() > deadline:
                     raise _Stop(False)
                 if root is None:
-                    # P is all of the unit's numbering, so its rows keep it and the coloring holds
-                    adj, P, inner = _rows_of(rows, P)
+                    adj = rows
                     expand(0, 0, P, coloring)
                 else:
                     grouped(P, coloring)
             # free this unit's masks before the next unit builds its own
-            rows = adj = classes = members = degrees = coloring = None
+            rows = adj = members = fixed = degrees = coloring = None
         proven = True
     except _Stop as stop:
         proven = stop.proven
@@ -638,6 +621,39 @@ def _clique_search(
     )
 
 
+def _reduced_search(
+    n: int, k: int, classes: list[tuple[int, ...]], target: float, deadline: float, t0: float
+) -> SearchOutcome:
+    """The reduced search of the module docstring over a full candidate set's class masks, in any order.
+
+    Its stop bound, reported as root_bound, is bounds._proved_upper.  Roots
+    go in descending order of |N(R)|, ties by index, each N(R) read off the
+    conflict masks of all the candidates, which then go.  A root's unit
+    holds the conflict masks of its P, N(R) less the shapes already
+    visited, over P's own numbering (_StreamedRows); they are built when
+    the unit is reached, after a poll of the clock for every unit but the
+    first, so an expired budget builds no further masks.  The unit colors
+    P and is skipped when 1 plus the top color cannot beat the incumbent;
+    otherwise the greedy seed runs inside P.  Under a root, groups go in
+    descending order of the highest greedy color among their members, so
+    once 1 plus that color cannot beat the incumbent, no later group can.
+    """
+    rows = _StreamedRows(classes)
+    roots, lattice = _roots(classes, rows.__getitem__), rows.lattice
+    del rows  # the roots' neighbourhoods are all the search needs of its conflict masks
+
+    def units():
+        for i, (P, root) in enumerate(roots):
+            if i and time.perf_counter() > deadline:
+                raise _Stop(False)
+            members = array("l", _set_bits(P))
+            rows = _StreamedRows([classes[v] for v in members], lattice)
+            yield rows.full, rows, members, root, classes[root]
+            rows = members = None  # free this unit's masks before the next unit builds its own
+
+    return _clique_search(units(), _proved_upper(n, k)[0], target, deadline, t0)
+
+
 def max_clique(
     graph: CompatibilityGraph,
     time_budget: float | None = None,
@@ -656,34 +672,22 @@ def max_clique(
     time_budget or target raises ValueError (see _start).
 
     The graph picks the path.  A graph whose candidates are a full
-    candidate set (_is_candidate_set) gets the reduced search of the module
-    docstring.  Its stop bound, reported as root_bound, is the least proved
-    upper bound on SP(n, k), bounds._proved_upper: the bounds module's
-    upper bound less the two values it cites from computer searches.  Roots
-    go in descending order of |N(R)|, ties by index.  Each colors P, N(R)
-    less the shapes already visited, read off the graph's own rows, and is
-    skipped when 1 plus the top color cannot beat the incumbent; otherwise
-    the greedy seed runs inside P.  Under a root, groups go in descending
-    order of the highest greedy color among their members, so once 1 plus
-    that color cannot beat the incumbent, no later group can either.
-    Every row the search asks for, of one vertex or of a seed try's or a
-    group's set, is read off graph.adj with no copy.  solve_sp builds those
-    rows as they are asked for and explores the same nodes.
-
-    Any other graph gets the plain search: it colors the whole graph once,
-    the top color is the stop bound, and it branches on that coloring as on
-    any other node, highest color first.  To run it on a candidate graph,
-    as a cross-check, pass CompatibilityGraph(graph.adj).
+    candidate set (_is_candidate_set) gets the reduced search that solve_sp
+    runs (_reduced_search), on the candidates' class masks; it reads no row
+    of graph.adj.  Any other graph gets the plain search on graph.adj: it
+    colors the whole graph once, the top color is the stop bound, and it
+    branches on that coloring as on any other node, highest color first.
+    To run it on a candidate graph, as a cross-check, pass
+    CompatibilityGraph(graph.adj).
     symmetry_reduction is ignored; it stays for callers that still pass it.
     """
     t0, deadline, target = _start(time_budget, target)
-    adj, cand = graph.adj, graph.candidates
+    cand = graph.candidates
     if _is_candidate_set(cand):
-        classes = [p.classes for p in cand.partitions]
-        units, bound = _roots(classes, adj.__getitem__), _proved_upper(cand.n, cand.k)[0]
+        outcome = _reduced_search(cand.n, cand.k, [p.classes for p in cand.partitions], target, deadline, t0)
     else:
-        classes, units, bound = None, [((1 << len(adj)) - 1, None)], None
-    outcome = _clique_search(units, lambda P: (P, classes, None, adj), bound, target, deadline, t0, classes)
+        adj = graph.adj
+        outcome = _clique_search([((1 << len(adj)) - 1, adj, None, None, None)], None, target, deadline, t0)
     if cand is None:
         return outcome
     return outcome._replace(best=_witness(cand.n, cand.k, [cand.partitions[v] for v in outcome.vertices]))
@@ -716,18 +720,13 @@ def solve_sp(
 
     It never builds the full graph, nor a Partition per candidate: the
     candidates are _candidate_rows, and only the witness's rows become
-    Partitions.  N(R) of each root comes from the per-class conflict
-    masks.  A root keeps the conflict masks of its P (see max_clique)
-    over P's own numbering and no rows (_StreamedRows): its coloring
-    computes each row as it reads it, and each seed try and each depth-2
-    group builds the rows of its own set, freed before the next.  The
-    search is the one
-    max_clique(build_graph(enumerate_partitions(n, k))) runs, with the same
-    nodes; max_clique(CompatibilityGraph(graph.adj)) is the plain one.  The
-    clock starts here, so enumeration and the rows count against
-    time_budget; the first root's seed always completes.  A search whose
-    full adjacency would exceed MAX_ADJ_BYTES, or a NaN time_budget or
-    target (see _start), raises ValueError before anything is enumerated.
+    Partitions.  The search (_reduced_search) is the one
+    max_clique(build_graph(enumerate_partitions(n, k))) runs, and
+    max_clique(CompatibilityGraph(graph.adj)) is the plain one.  The clock
+    starts here, so enumeration and the masks count against time_budget;
+    the first root's seed always completes.  A search whose full adjacency
+    would exceed MAX_ADJ_BYTES, or a NaN time_budget or target (see
+    _start), raises ValueError before anything is enumerated.
     """
     t0, deadline, target = _start(time_budget, target)
     count = candidate_count(n, k)
@@ -738,17 +737,7 @@ def solve_sp(
             f"over the cap of {MAX_ADJ_BYTES:,}"
         )
     classes = list(_candidate_rows(n, k))
-    rows = _StreamedRows(classes)
-    units, lattice = _roots(classes, rows.__getitem__), rows.lattice
-    del rows  # the roots' neighbourhoods are all the search needs of its conflict masks
-
-    def view(P: int):
-        members = array("l", _set_bits(P))
-        sub = [classes[v] for v in members]
-        rows = _StreamedRows(sub, lattice)
-        return rows.full, sub, members, rows
-
-    outcome = _clique_search(units, view, _proved_upper(n, k)[0], target, deadline, t0, classes)
+    outcome = _reduced_search(n, k, classes, target, deadline, t0)
     best = _witness(n, k, [Partition._from_canonical(n, k, classes[v]) for v in outcome.vertices])
     if not verify_sperner(best).valid:
         raise RuntimeError("internal error: search witness failed verification")

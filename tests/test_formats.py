@@ -171,6 +171,23 @@ def test_parse_json_rejects_booleans(doc, message):
         parse(doc)
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\r\n3 1 1"])
+def test_text_refuses_a_name_with_a_line_break(brk):
+    # a text name is one comment line: the rest of "a\nb" would read as a
+    # header line, and "a\r\n3 1 1" as a header of its own
+    doc = json.dumps({"n": 2, "k": 1, "name": f"a{brk}", "partitions": [[[0, 1]]]})
+    system = parse(doc)
+    assert system.name == f"a{brk}"
+    assert parse(serialize(system, "json")).name == system.name
+    with pytest.raises(ValueError, match="holds a line break"):
+        serialize(system)
+
+
+def test_text_keeps_a_name_with_inner_spaces():
+    system = PartitionSystem(2, 1, [Partition(2, [[0, 1]])], name="a b")
+    assert parse(serialize(system)).name == "a b"
+
+
 def test_fixture_texts_keep_original_labels():
     assert "inf" in fixture_text("fig-17-8")
     assert "base=1" in fixture_text("fig-9-4")

@@ -449,8 +449,23 @@ class TestMaxClique:
         assert not outcome.proven_optimal
         assert outcome.size >= 1  # greedy seed still reports a clique
 
+    def test_reduced_search_reads_no_stored_row(self):
+        # the reduced search builds its rows from the candidates' class masks,
+        # as solve_sp does; only the plain search reads graph.adj
+        class NoRows:
+            def __len__(self):
+                raise AssertionError("adj row read")
+
+            def __getitem__(self, v):
+                raise AssertionError("adj row read")
+
+        outcome = max_clique(CompatibilityGraph(NoRows(), enumerate_partitions(8, 3)))
+        assert (outcome.size, outcome.proven_optimal, outcome.nodes_explored) == (8, True, 117)
+
     def test_search_keeps_no_second_copy_of_the_rows(self):
-        # (10,4): 9,450 vertices, 11.2 MB of rows; a complement table would be as large again
+        # (10,4): graph.adj holds 9,450 rows, 11.2 MB.  The reduced search reads
+        # none of them and copies none: it holds one root's conflict masks and one
+        # seed try's or depth-2 group's rows at a time
         graph = build_graph(enumerate_partitions(10, 4))
         row_bytes = sum((a.bit_length() + 7) // 8 for a in graph.adj)
         tracemalloc.start()
@@ -683,8 +698,8 @@ class TestReducedSearch:
         outcome = solve_sp(n, k, target=target)
         got = (outcome.size, outcome.proven_optimal, outcome.nodes_explored, outcome.root_bound)
         assert got == expected
-        # solve_sp builds rows per seed try and per depth-2 group; max_clique reads
-        # them off the full graph, and the two explore the same nodes to the same witness
+        # max_clique on the full candidate graph runs solve_sp's search on the
+        # candidates' class masks, so the two explore the same nodes to the same witness
         whole = max_clique(build_graph(enumerate_partitions(n, k)), target=target)
         assert whole._replace(best=None, elapsed=0) == outcome._replace(best=None, elapsed=0)
 
