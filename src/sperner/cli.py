@@ -6,7 +6,9 @@ delivered (the reader closed the pipe, or the process started without
 stdout), 2 invalid system, 3 search budget exhausted, 64 usage error (an
 -o path that cannot be written is one).  Result output goes to stdout and
 is byte-stable across runs; timing diagnostics go to stderr.  Each handler
-returns its exit code and stdout text, and `main` alone writes stdout.
+returns its exit code and its stdout text as chunks, and `main` alone
+writes stdout, a chunk at a time: a document is rendered as it is written
+(formats._chunks), so no command holds the whole of one.
 It prints a handler's ValueError as `error: ...` with exit 64, and runs
 every handler but verify's with Python's int-to-str digit limit lifted.
 Each handler imports the modules it runs, so a process loads only what
@@ -20,6 +22,8 @@ import argparse
 import codecs
 import os
 import sys
+from collections.abc import Iterable
+from itertools import chain
 
 EX_OK = 0
 EX_PARSE = 1
@@ -43,6 +47,23 @@ _METHODS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument parser that exits 64 on a usage error.
+
+    A subcommand's parser takes its arguments from a function
+    (arguments=), called when argparse first hands that parser a command
+    line, so a process adds only the arguments of the subcommand it runs.
+    """
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments:
+            add, self._arguments = self._arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -52,8 +73,15 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sperner", description="Sperner k-partition systems toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("construct", help="build a system for (n, k)", arguments=_construct_arguments)
+    sub.add_parser("verify", help="verify a system document", arguments=_verify_arguments)
+    sub.add_parser("bounds", help="best-known bounds for SP(n, k)", arguments=_bounds_arguments)
+    sub.add_parser("search", help="exhaustive maximum-system search", arguments=_search_arguments)
+    sub.add_parser("fixtures", help="bundled reference systems", arguments=_fixtures_arguments)
+    return parser
 
-    c = sub.add_parser("construct", help="build a system for (n, k)")
+
+def _construct_arguments(c: _Parser) -> None:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument(
@@ -65,17 +93,20 @@ def _build_parser() -> _Parser:
     c.add_argument("-o", "--output", help="write the document here instead of stdout")
     c.add_argument("--format", choices=["text", "json"], default="text")
 
-    v = sub.add_parser("verify", help="verify a system document")
+
+def _verify_arguments(v: _Parser) -> None:
     v.add_argument("file")
     v.add_argument("--report", action="store_true", help="list every violation")
 
-    b = sub.add_parser("bounds", help="best-known bounds for SP(n, k)")
+
+def _bounds_arguments(b: _Parser) -> None:
     b.add_argument("--n", type=int)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--table", action="store_true", help="print a table for n = k..max-n")
     b.add_argument("--max-n", type=int, dest="max_n")
 
-    s = sub.add_parser("search", help="exhaustive maximum-system search")
+
+def _search_arguments(s: _Parser) -> None:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--time-limit", type=float, dest="time_limit")
@@ -89,49 +120,57 @@ def _build_parser() -> _Parser:
     s.add_argument("-o", "--output", help="write the best system found to this file")
     s.add_argument("--format", choices=["text", "json"], default="text")
 
-    f = sub.add_parser("fixtures", help="bundled reference systems")
+
+def _fixtures_arguments(f: _Parser) -> None:
     fsub = f.add_subparsers(dest="fixtures_command", required=True)
     fsub.add_parser("list", help="list bundled systems")
-    fe = fsub.add_parser("emit", help="write one bundled system")
+    fsub.add_parser("emit", help="write one bundled system", arguments=_emit_arguments)
+
+
+def _emit_arguments(fe: _Parser) -> None:
     fe.add_argument("name")
     fe.add_argument("-o", "--output")
     fe.add_argument("--format", choices=["text", "json"], default="text")
 
-    return parser
 
+def _write(stream, chunks: Iterable[str], encoding: str, errors: str = "strict") -> None:
+    """Write text chunks to a binary stream, each encoded a bounded piece at a time.
 
-def _write(stream, text: str, encoding: str, errors: str = "strict") -> None:
-    """Write text to a binary stream, encoded a bounded chunk at a time.
-
-    One incremental encoder serves every chunk, so an encoding with a byte
+    One incremental encoder serves every piece, so an encoding with a byte
     order mark writes it once, and no encoded copy of the whole text is
-    made.  A raw stream (an unbuffered stdout) may take part of a chunk, so
+    made.  A raw stream (an unbuffered stdout) may take part of a piece, so
     the rest is written again until none is left.
     """
     encode = codecs.getincrementalencoder(encoding)(errors).encode
-    for start in range(0, len(text), _CHUNK):
-        data = memoryview(encode(text[start : start + _CHUNK], start + _CHUNK >= len(text)))
-        while data:
-            data = data[stream.write(data) :]
+    for text in chunks:
+        for start in range(0, len(text), _CHUNK):
+            _put(stream, encode(text[start : start + _CHUNK]))
+    _put(stream, encode("", True))
 
 
-def _emit(system, output: str | None, fmt: str) -> tuple[int, str]:
-    """The document as stdout text, or written to output as UTF-8; an unwritable output is a usage error."""
-    from .formats import serialize
+def _put(stream, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[stream.write(view) :]
 
-    doc = serialize(system, fmt=fmt)
+
+def _emit(system, output: str | None, fmt: str) -> tuple[int, Iterable[str]]:
+    """The document as stdout chunks, or written to output as UTF-8; an unwritable output is a usage error."""
+    from .formats import _chunks
+
+    chunks = _chunks(system, fmt)
     if not output:
-        return EX_OK, doc
+        return EX_OK, chunks
     try:
         with open(output, "wb") as fh:
-            _write(fh, doc, "utf-8")
+            _write(fh, chunks, "utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE, ""
-    return EX_OK, ""
+        return EX_USAGE, ()
+    return EX_OK, ()
 
 
-def _cmd_construct(args) -> tuple[int, str]:
+def _cmd_construct(args) -> tuple[int, Iterable[str]]:
     from .construct import construct_auto, plan_construction
 
     rule, requirement = _METHODS[args.method]
@@ -147,7 +186,7 @@ def _cmd_construct(args) -> tuple[int, str]:
     return _emit(system, args.output, args.format)
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     from .formats import ParseError, parse
     from .model import format_report, verify_sperner
 
@@ -156,15 +195,15 @@ def _cmd_verify(args) -> tuple[int, str]:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EX_PARSE, ""
+        return EX_PARSE, ()
     except UnicodeDecodeError as exc:
         print(f"parse error: not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
-        return EX_PARSE, ""
+        return EX_PARSE, ()
     try:
         system = parse(text)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EX_PARSE, ""
+        return EX_PARSE, ()
     del text  # the document is not needed once parsed, so verification runs without it
     report = verify_sperner(system)
     if report.valid or args.report:
@@ -174,10 +213,10 @@ def _cmd_verify(args) -> tuple[int, str]:
             f"invalid: {len(report.violations)} violations, "
             f"{len(report.wellformed_errors)} well-formedness errors"
         )
-    return (EX_OK if report.valid else EX_INVALID), out + "\n"
+    return (EX_OK if report.valid else EX_INVALID), [out + "\n"]
 
 
-def _cmd_bounds(args) -> tuple[int, str]:
+def _cmd_bounds(args) -> tuple[int, Iterable[str]]:
     from .bounds import bounds_table, sp_bounds
 
     k = args.k
@@ -196,10 +235,10 @@ def _cmd_bounds(args) -> tuple[int, str]:
         lines = [f"SP({args.n},{k}): lower {result.lower}, upper {result.upper} ({status})"]
         lines += (f"  lower <- {rule}: {detail}" for rule, detail in result.lower_provenance)
         lines += (f"  upper <- {rule}: {detail}" for rule, detail in result.upper_provenance)
-    return EX_OK, "".join(f"{line}\n" for line in lines)
+    return EX_OK, ["".join(f"{line}\n" for line in lines)]
 
 
-def _cmd_search(args) -> tuple[int, str]:
+def _cmd_search(args) -> tuple[int, Iterable[str]]:
     from .search import solve_sp
 
     outcome = solve_sp(
@@ -215,23 +254,23 @@ def _cmd_search(args) -> tuple[int, str]:
     if args.output:
         written, _ = _emit(outcome.best, args.output, args.format)
         if written != EX_OK:
-            return written, out
+            return written, [out]
     # --exact ignores the target, so only a proof ends it successfully
     target_met = not args.exact and args.target is not None and outcome.size >= args.target
-    return (EX_OK if outcome.proven_optimal or target_met else EX_BUDGET), out
+    return (EX_OK if outcome.proven_optimal or target_met else EX_BUDGET), [out]
 
 
-def _cmd_fixtures(args) -> tuple[int, str]:
+def _cmd_fixtures(args) -> tuple[int, Iterable[str]]:
     from .fixtures import fixture_names, load_fixture
 
     if args.fixtures_command == "list":
         systems = ((name, load_fixture(name)) for name in fixture_names())
-        return EX_OK, "".join(f"{name}: n={s.n} k={s.k} partitions={len(s)}\n" for name, s in systems)
+        return EX_OK, ["".join(f"{name}: n={s.n} k={s.k} partitions={len(s)}\n" for name, s in systems)]
     try:
         system = load_fixture(args.name)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EX_USAGE, ""
+        return EX_USAGE, ()
     return _emit(system, args.output, args.format)
 
 
@@ -262,17 +301,23 @@ def main(argv=None) -> int:
         return EX_USAGE
     finally:
         set_limit(limit)
-    if not out:
+    # A document's chunks are rendered from here on, with the caller's limit
+    # back: they hold only element labels of a few digits each, and the
+    # header is made when the handler asks for the document.
+    out = iter(out)
+    first = next(out, None)
+    if first is None:  # nothing to print
         return code
     if sys.stdout is None:  # the process started without stdout, so the output goes nowhere
         return EX_PARSE
+    chunks = chain([first], out)
     try:
         if not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
-            sys.stdout.write(out)
+            sys.stdout.writelines(chunks)
             return code
         sys.stdout.flush()
         # bytes: the text layer drops the rest of a short write to an unbuffered stdout
-        _write(sys.stdout.buffer, out, sys.stdout.encoding, sys.stdout.errors)
+        _write(sys.stdout.buffer, chunks, sys.stdout.encoding, sys.stdout.errors)
         sys.stdout.buffer.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Point it at devnull, as the Python docs

@@ -211,11 +211,12 @@ def plan_construction(n: int, k: int, first: str | None = None) -> tuple[int, tu
 
 
 # The largest planned system construct_auto builds.  Building costs about
-# 8 us and 0.35 KB per partition in CPython: construct_k2(21), 167,960
-# partitions, takes 1.4 s and peaks at 74 MB RSS (15 MB of it the
-# interpreter and the package) on a 2-core Xeon VM, and so does
-# `sperner construct --n 21 --k 2`, whose document costs less than the
-# build.  The cap so stands near 8 s and 0.4 GB.  Larger plans, such as
+# 5 us and 0.3 KB per partition in CPython: construct_k2(21), 167,960
+# partitions, takes 0.8 s and peaks at 62 MB RSS (15 MB of it the
+# interpreter and the package) on a 2-core Xeon VM, and
+# `sperner construct --n 21 --k 2` at 63 MB, its document's sort keys
+# costing about what the build's verification does.  The cap so stands
+# near 5 s and 0.3 GB.  Larger plans, such as
 # C(28,13) = 37,442,160 partitions for (29, 2), are refused before
 # anything is built.
 MAX_PARTITIONS = 1_000_000

@@ -21,9 +21,10 @@ and equal systems serialize byte-identically.
 
 Text documents are the largest thing the tool writes and reads, so the
 text path never holds a second copy of one: serialize renders its lines a
-bounded chunk of sort keys at a time, and the reader splits the document
-into lines a bounded chunk at a time, in one pass for the header and the
-line count and one that builds the partitions, with no list of lines.
+bounded chunk of sort keys at a time, as chunks the CLI writes as they
+come (_chunks), and the reader splits the document into lines a bounded
+chunk at a time, in one pass for the header and the line count and one
+that builds the partitions, with no list of lines.
 """
 
 from __future__ import annotations
@@ -70,11 +71,23 @@ def serialize(system: PartitionSystem, fmt: str = "text") -> str:
     class that is a prefix of another closes with 0 where the other goes
     on with a larger code.  The key holds every code, so the lines are
     rendered from the sorted keys, a bounded chunk at a time, and each
-    chunk's keys are freed once it is rendered: the keys and the finished
-    document are never held whole together.  JSON rows, and text labels
-    past chr's range (above a million), come from a plain sort of element
-    lists.  A name with a line break (any that str.splitlines splits)
-    raises ValueError in text, since its rest would read as other lines.
+    chunk's keys are freed once it is rendered.  The document is the join
+    of those chunks; the CLI writes them one at a time as they are
+    rendered (_chunks), so it never holds the whole document.  JSON rows,
+    and text labels past chr's range (above a million), come from a plain
+    sort of element lists.  A name with a line break (any that
+    str.splitlines splits) raises ValueError in text, since its rest would
+    read as other lines.
+    """
+    return "".join(_chunks(system, fmt))
+
+
+def _chunks(system: PartitionSystem, fmt: str) -> Iterator[str]:
+    """serialize's document as strings that join to it.
+
+    The arguments are checked and the partitions sorted at the call, so
+    an error is raised before any chunk is written; each later text chunk
+    is rendered only when it is asked for.
     """
     if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r} (expected 'text' or 'json')")
@@ -82,32 +95,30 @@ def serialize(system: PartitionSystem, fmt: str = "text") -> str:
         raise ValueError(f"the name {system.name!r} holds a line break, which a text document cannot hold")
     parts = system.partitions
     top = max(map(int.bit_length, chain.from_iterable(p.classes for p in parts)), default=0)
+    head = (f"# name: {system.name}\n" if system.name else "") + f"{system.n} {system.k} {len(parts)}\n"
     if fmt == "text" and top < sys.maxunicode:
         keys = [
             "".join([chr(code) for c in p.classes for code in (*elements_of(c << 1), 0)]) for p in parts
         ]
         keys.sort()
-        body = _render(keys, top)
-    else:
-        rows = sorted([list(c) for c in p.class_sets] for p in parts)
-        if fmt == "json":
-            import json
+        return chain([head], _render(keys, top))
+    rows = sorted([list(c) for c in p.class_sets] for p in parts)
+    if fmt == "json":
+        import json
 
-            doc = {
-                "format_version": FORMAT_VERSION,
-                "n": system.n,
-                "k": system.k,
-                "name": system.name,
-                "partitions": rows,
-                "metadata": {},
-            }
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        body = ["|".join([",".join(map(str, c)) for c in row]) + "\n" for row in rows]
-    head = f"# name: {system.name}\n" if system.name else ""
-    return "".join([head, f"{system.n} {system.k} {len(parts)}\n", *body])
+        doc = {
+            "format_version": FORMAT_VERSION,
+            "n": system.n,
+            "k": system.k,
+            "name": system.name,
+            "partitions": rows,
+            "metadata": {},
+        }
+        return iter([json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+    return chain([head], ("|".join([",".join(map(str, c)) for c in row]) + "\n" for row in rows))
 
 
-def _render(keys: list[str], top: int) -> list[str]:
+def _render(keys: list[str], top: int) -> Iterator[str]:
     """The lines of sorted keys with codes up to top, a chunk of lines per string.
 
     keys is emptied a chunk at a time as its lines are rendered.
@@ -115,14 +126,12 @@ def _render(keys: list[str], top: int) -> list[str]:
     end = chr(top + 1)  # joins a chunk's keys, and renders as the line end
     text = ["|", *[f"{e}," for e in range(top)], "\n"]  # key character -> its text
     step = max(1, _CHUNK // (1 + max(map(len, keys), default=0)))
-    chunks = []
     while keys:
         chunk = end.join(keys[:step]) + end
         del keys[:step]
         # each element renders with a comma after it and each class close
         # as "|": drop the comma before a close, and the close before a line end
-        chunks.append(chunk.translate(text).replace(",|", "|").replace("|\n", "\n"))
-    return chunks
+        yield chunk.translate(text).replace(",|", "|").replace("|\n", "\n")
 
 
 def parse(text: str) -> PartitionSystem:

@@ -15,18 +15,20 @@ the classes of each size and no input needs a size limit.
 _malformed_rows is the one k-partition test: it checks rows of class
 masks in bulk, with a few whole-mask operations per row, for
 verify_sperner and for the search's guard on full candidate sets.
-verify_sperner holds one set entry per class beyond the system itself;
+Beyond the system itself, verify_sperner holds each class once, in a
+sorted list of its size or, for a size that lookups pay for, a set;
 locations are looked up only for classes behind a finding.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from functools import reduce
-from itertools import chain, combinations
+from functools import partial, reduce
+from itertools import chain, combinations, compress, islice
 from math import comb, lcm
-from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import eq, ne, or_
+from typing import Collection, Container, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Partition",
@@ -238,28 +240,46 @@ def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
     is sup less one bit; a smaller one is the sum of a combination of
     sup's single-bit masks.  Each (class, size) step costs the smaller of
     the two, so the work grows with the classes of each size and no input
-    needs a size limit.
+    needs a size limit.  Here the pairs come sup by sup in the order of
+    the set of the classes, which every lookup tests; verify_sperner runs
+    the same search (_pairs) over classes it holds by size, with no set
+    of them all.
     """
-    # a set is used as given: verify_sperner hands over its one class set
     present = classes if isinstance(classes, (set, frozenset)) else set(classes)
-    counts = Counter(map(int.bit_count, present))
-    sizes = sorted(counts)
-    of_size: dict[int, list[int]] = {}  # filled when a scan first needs a size
-    for sup in present:
+    groups: dict[int, list[int]] = {}
+    for c in present:
+        groups.setdefault(c.bit_count(), []).append(c)
+    return _pairs(present, groups, dict.fromkeys(groups, present))
+
+
+def _pairs(
+    sups: Iterable[int], groups: dict[int, Collection[int]], lookups: dict[int, Container[int]]
+) -> Iterator[tuple[int, int]]:
+    """containments' pairs for each of sups in turn.
+
+    groups[s] holds the distinct classes of size s, and lookups[s] holds
+    them too (and maybe others) for each size s that some class looks
+    subsets up in.
+    """
+    sizes = sorted(groups)
+    # size -> (s, the classes of size s to scan, or None to look them up)
+    # for each smaller size s present
+    plans: dict[int, list[tuple[int, Collection[int] | None]]] = {}
+    for sup in sups:
         size = sup.bit_count()
-        if size <= sizes[0]:
-            continue  # no class present is smaller
+        plan = plans.get(size)
+        if plan is None:
+            plan = plans[size] = [
+                (s, groups[s] if comb(size, s) > len(groups[s]) else None) for s in sizes if s < size
+            ]
         bits = None  # sup split into its single-bit masks on its first lookup
-        for s in sizes:
-            if s >= size:
-                break
-            if comb(size, s) > counts[s]:
-                if s not in of_size:
-                    of_size[s] = [c for c in present if c.bit_count() == s]
-                for sub in of_size[s]:
+        for s, scanned in plan:
+            if scanned is not None:
+                for sub in scanned:
                     if sub & ~sup == 0:
                         yield sub, sup
             elif s == size - 1:
+                present = lookups[s]
                 rest = sup  # drop one bit, highest first: the order combinations gives
                 while rest:
                     top = 1 << rest.bit_length() - 1
@@ -267,11 +287,64 @@ def containments(classes: Iterable[int]) -> Iterator[tuple[int, int]]:
                     if sup ^ top in present:
                         yield sup ^ top, sup
             else:
+                present = lookups[s]
                 if bits is None:
                     bits = [1 << e for e in elements_of(sup)]
                 for sub in map(sum, combinations(bits, s)):
                     if sub in present:
                         yield sub, sup
+
+
+class _Sorted:
+    """A sorted list of distinct classes as a container, searched by bisection."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: list[int]):
+        self.items = items
+
+    def __contains__(self, c: int) -> bool:
+        i = bisect_left(self.items, c)
+        return i < len(self.items) and self.items[i] == c
+
+
+def _by_size(rows: Sequence[Sequence[int]]) -> tuple[dict, dict, set[int]]:
+    """(groups, lookups, repeated) of the classes of rows, for _pairs, with no set of them all.
+
+    A size whose classes are looked up at least as many times as it has
+    classes is held as a set, which has repeated classes when it is
+    smaller than their count.  Every other size is a list sorted in place,
+    so equal classes sit side by side and are found by comparing
+    neighbours; a size looked up fewer times is searched by bisection,
+    and one never looked up needs no more.
+    """
+    classes = partial(chain.from_iterable, rows)
+    counts = Counter(map(int.bit_count, classes()))
+    groups: dict[int, Collection[int]] = {}
+    lookups: dict[int, Container[int]] = {}
+    for s, count in counts.items():
+        wanted = sum(m * comb(size, s) for size, m in counts.items() if size > s and comb(size, s) <= count)
+        if wanted >= count:
+            groups[s] = lookups[s] = set()
+        else:
+            groups[s] = []
+            if wanted:
+                lookups[s] = _Sorted(groups[s])
+    add = {s: group.add if isinstance(group, set) else group.append for s, group in groups.items()}
+    for c in classes():
+        add[c.bit_count()](c)
+    repeated: set[int] = set()
+    for s, group in groups.items():
+        if isinstance(group, set):
+            if len(group) < counts[s]:
+                repeated.update(c for c, m in Counter(classes()).items() if m > 1)
+            continue
+        group.sort()
+        runs = set(compress(group, map(eq, group, islice(group, 1, None))))
+        if runs:  # keep the first class of each run of equal ones
+            repeated |= runs
+            group[:] = compress(group, map(ne, group, chain([None], group)))
+    return groups, lookups, repeated
 
 
 def verify_sperner(system: PartitionSystem) -> SpernerReport:
@@ -285,11 +358,13 @@ def verify_sperner(system: PartitionSystem) -> SpernerReport:
 
     Each partition is checked in bulk by _malformed_rows; only a partition
     that fails goes through validate_partition, which words the messages.
-    All classes go into one set, handed to containments; equal classes
-    exist exactly when the set is smaller than the class count.  The
-    (partition, class) locations are gathered only for repeated classes
-    and the ends of containment pairs, so a valid system costs one set
-    entry per class.
+    The classes are held by size (_by_size), with a lookup set only for a
+    size that containment lookups pay for, and each other size as a sorted
+    list in which equal classes sit side by side; containments' search
+    (_pairs) runs over them.  The (partition, class) locations are
+    gathered only for repeated classes and the ends of containment pairs,
+    so a valid system costs about one list or set entry per class and no
+    set of every class.
     """
     partitions = system.partitions
     rows = [p.classes for p in partitions]
@@ -298,12 +373,12 @@ def verify_sperner(system: PartitionSystem) -> SpernerReport:
         for t in _malformed_rows(rows, system.n, system.k)
         for msg in validate_partition(partitions[t])
     ]
-    present = set(chain.from_iterable(rows))
-
-    pairs = list(containments(present))
-    involved = {c for pair in pairs for c in pair}
-    if len(present) < sum(map(len, rows)):
-        involved.update(c for c, m in Counter(chain.from_iterable(rows)).items() if m > 1)
+    groups, lookups, involved = _by_size(rows)
+    smallest = min(groups, default=0)  # the smallest classes contain none
+    sups = chain.from_iterable(group for s, group in groups.items() if s > smallest)
+    pairs = list(_pairs(sups, groups, lookups))
+    del groups, lookups
+    involved.update(c for pair in pairs for c in pair)
     owners: dict[int, list[tuple[int, int]]] = {}
     if involved:
         for a, cs in enumerate(rows):

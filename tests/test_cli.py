@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import sperner.cli
 from sperner import load_fixture, parse, serialize, verify_sperner
-from sperner.cli import main
+from sperner.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -572,3 +574,311 @@ def test_construct_to_file_succeeds_without_stdout(tmp_path):
     done = run_cli(("construct", "--n", "8", "--k", "3", "-o", str(target)), False, fd1_closed=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert verify_sperner(parse(target.read_text(encoding="utf-8"))).valid
+
+
+# Help, usage and error texts at 80 columns, as argparse words them in
+# Python 3.10 to 3.12.  A subcommand's arguments are added only when it
+# runs, and that changes no byte of them.  The first five errors are
+# unknown options after the required arguments, which the top-level parser
+# reports; the rest are unknown options before them, which the
+# subcommand's own parser reports with its usage.
+CLI_TEXTS = {
+    ("--help",): (
+        0,
+        (
+            "usage: sperner [-h] {construct,verify,bounds,search,fixtures} ...\n"
+            "\n"
+            "Sperner k-partition systems toolbox\n"
+            "\n"
+            "positional arguments:\n"
+            "  {construct,verify,bounds,search,fixtures}\n"
+            "    construct           build a system for (n, k)\n"
+            "    verify              verify a system document\n"
+            "    bounds              best-known bounds for SP(n, k)\n"
+            "    search              exhaustive maximum-system search\n"
+            "    fixtures            bundled reference systems\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    ("construct", "--help"): (
+        0,
+        (
+            "usage: sperner construct [-h] --n N --k K\n"
+            "                         [--method {auto,k2,dev-2k1,dev-2k2,dev-3k1,latin-lift,extend}]\n"
+            "                         [-o OUTPUT] [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --n N\n"
+            "  --k K\n"
+            "  --method {auto,k2,dev-2k1,dev-2k2,dev-3k1,latin-lift,extend}\n"
+            "                        force the first step of the planned route (auto: plan\n"
+            "                        every step)\n"
+            "  -o OUTPUT, --output OUTPUT\n"
+            "                        write the document here instead of stdout\n"
+            "  --format {text,json}\n"
+        ),
+        "",
+    ),
+    ("verify", "--help"): (
+        0,
+        (
+            "usage: sperner verify [-h] [--report] file\n"
+            "\n"
+            "positional arguments:\n"
+            "  file\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --report    list every violation\n"
+        ),
+        "",
+    ),
+    ("bounds", "--help"): (
+        0,
+        (
+            "usage: sperner bounds [-h] [--n N] --k K [--table] [--max-n MAX_N]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help     show this help message and exit\n"
+            "  --n N\n"
+            "  --k K\n"
+            "  --table        print a table for n = k..max-n\n"
+            "  --max-n MAX_N\n"
+        ),
+        "",
+    ),
+    ("search", "--help"): (
+        0,
+        (
+            "usage: sperner search [-h] --n N --k K [--time-limit TIME_LIMIT]\n"
+            "                      [--target TARGET] [--exact] [--symmetry] [-o OUTPUT]\n"
+            "                      [--format {text,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --n N\n"
+            "  --k K\n"
+            "  --time-limit TIME_LIMIT\n"
+            "  --target TARGET\n"
+            "  --exact               run to a proven optimum\n"
+            "  --symmetry            symmetry-reduced search; this is the default, the flag\n"
+            "                        is kept for compatibility\n"
+            "  -o OUTPUT, --output OUTPUT\n"
+            "                        write the best system found to this file\n"
+            "  --format {text,json}\n"
+        ),
+        "",
+    ),
+    ("fixtures", "--help"): (
+        0,
+        (
+            "usage: sperner fixtures [-h] {list,emit} ...\n"
+            "\n"
+            "positional arguments:\n"
+            "  {list,emit}\n"
+            "    list       list bundled systems\n"
+            "    emit       write one bundled system\n"
+            "\n"
+            "options:\n"
+            "  -h, --help   show this help message and exit\n"
+        ),
+        "",
+    ),
+    ("fixtures", "list", "--help"): (
+        0,
+        (
+            "usage: sperner fixtures list [-h]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+        ),
+        "",
+    ),
+    ("fixtures", "emit", "--help"): (
+        0,
+        (
+            "usage: sperner fixtures emit [-h] [-o OUTPUT] [--format {text,json}] name\n"
+            "\n"
+            "positional arguments:\n"
+            "  name\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  -o OUTPUT, --output OUTPUT\n"
+            "  --format {text,json}\n"
+        ),
+        "",
+    ),
+    ("construct", "--n", "8", "--k", "3", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner [-h] {construct,verify,bounds,search,fixtures} ...\n"
+            "error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    ("verify", "doc.txt", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner [-h] {construct,verify,bounds,search,fixtures} ...\n"
+            "error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    ("bounds", "--k", "3", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner [-h] {construct,verify,bounds,search,fixtures} ...\n"
+            "error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    ("search", "--n", "7", "--k", "3", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner [-h] {construct,verify,bounds,search,fixtures} ...\n"
+            "error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    ("fixtures", "list", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner [-h] {construct,verify,bounds,search,fixtures} ...\n"
+            "error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    ("construct", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner construct [-h] --n N --k K\n"
+            "                         [--method {auto,k2,dev-2k1,dev-2k2,dev-3k1,latin-lift,extend}]\n"
+            "                         [-o OUTPUT] [--format {text,json}]\n"
+            "error: the following arguments are required: --n, --k\n"
+        ),
+    ),
+    ("verify", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner verify [-h] [--report] file\n"
+            "error: the following arguments are required: file\n"
+        ),
+    ),
+    ("bounds", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner bounds [-h] [--n N] --k K [--table] [--max-n MAX_N]\n"
+            "error: the following arguments are required: --k\n"
+        ),
+    ),
+    ("search", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner search [-h] --n N --k K [--time-limit TIME_LIMIT]\n"
+            "                      [--target TARGET] [--exact] [--symmetry] [-o OUTPUT]\n"
+            "                      [--format {text,json}]\n"
+            "error: the following arguments are required: --n, --k\n"
+        ),
+    ),
+    ("fixtures", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner fixtures [-h] {list,emit} ...\n"
+            "error: the following arguments are required: fixtures_command\n"
+        ),
+    ),
+    ("fixtures", "emit", "--bogus"): (
+        64,
+        "",
+        (
+            "usage: sperner fixtures emit [-h] [-o OUTPUT] [--format {text,json}] name\n"
+            "error: the following arguments are required: name\n"
+        ),
+    ),
+}
+
+
+def run_at_80_columns(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    return run(capsys, *argv)
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="argparse 3.13 lists an option's metavar once: -o, --output OUTPUT"
+)
+@pytest.mark.parametrize("argv", list(CLI_TEXTS), ids=" ".join)
+def test_help_usage_and_error_texts_are_pinned(monkeypatch, capsys, argv):
+    assert run_at_80_columns(monkeypatch, capsys, argv) == CLI_TEXTS[argv]
+
+
+def eager_parser():
+    """The CLI's parser with every subcommand's arguments added up front."""
+    parser = _build_parser()
+    stack = [parser]
+    while stack:
+        p = stack.pop()
+        if p._arguments:
+            add, p._arguments = p._arguments, None
+            add(p)
+        stack += (q for a in p._actions if isinstance(a, argparse._SubParsersAction) for q in a.choices.values())
+    return parser
+
+
+@pytest.mark.parametrize("argv", [*CLI_TEXTS, ("nope",), ()], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_lazy_arguments_give_the_texts_of_an_eager_parser(monkeypatch, capsys, argv):
+    lazy = run_at_80_columns(monkeypatch, capsys, argv)
+    monkeypatch.setattr(sperner.cli, "_build_parser", eager_parser)
+    assert run_at_80_columns(monkeypatch, capsys, argv) == lazy
+
+
+def test_a_command_adds_only_its_own_arguments():
+    parser = _build_parser()
+    assert parser.parse_args(["verify", "doc.txt"]).file == "doc.txt"
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {name: len(p._actions) for name, p in subparsers.choices.items()}
+    # each parser has its -h; verify adds file and --report
+    assert actions == {"construct": 1, "verify": 3, "bounds": 1, "search": 1, "fixtures": 1}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_construct_writes_the_serialized_system(tmp_path, fmt):
+    # (19,2) is 2,056,656 characters of text: the header and 15 chunks of
+    # lines, which main and -o write one at a time as they are rendered
+    from sperner import construct_auto
+
+    doc = serialize(construct_auto(19, 2), fmt=fmt).encode("utf-8")
+    if fmt == "text":
+        assert doc.startswith(b"# name: auto(19,2)\n19 2 43758\n") and len(doc) == 2_056_656
+    argv = [sys.executable, "-m", "sperner.cli", "construct", "--n", "19", "--k", "2", "--format", fmt]
+    done = subprocess.run(argv, capture_output=True, env=child_env(False), timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == doc
+    target = tmp_path / f"k2.{fmt}"
+    done = subprocess.run([*argv, "-o", str(target)], capture_output=True, env=child_env(False), timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, b"", b"")
+    assert target.read_bytes() == doc
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reader_closing_after_the_first_line_stops_construct(unbuffered):
+    # the reader leaves while the document is still being rendered
+    with subprocess.Popen(
+        [sys.executable, "-m", "sperner.cli", "construct", "--n", "19", "--k", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(unbuffered),
+    ) as child:
+        assert child.stdout.readline() == b"# name: auto(19,2)\n"
+        child.stdout.close()
+        assert child.wait(timeout=120) == 1
+        assert child.stderr.read() == b""

@@ -12,6 +12,7 @@ from sperner import (
     Partition,
     PartitionSystem,
     construct_3k1,
+    construct_k2,
     elements_of,
     enumerate_partitions,
     fixture_names,
@@ -258,9 +259,17 @@ def test_verify_matches_reference_on_fixtures_and_broken_systems():
         assert verify_sperner(system) == reference_verify(system)
 
 
-def test_verify_keeps_a_few_bytes_per_class():
-    # 10,740 classes; a class -> locations map costs over 200 bytes per class
-    system = construct_3k1(60)
+@pytest.mark.parametrize(
+    "build, per_class",
+    [(lambda: construct_3k1(60), 20), (lambda: construct_k2(19), 45)],
+    ids=["3k1-60", "k2-19"],
+)
+def test_verify_keeps_a_few_bytes_per_class(build, per_class):
+    # 10,740 and 87,516 classes.  A class -> locations map costs over 200
+    # bytes per class and one set of every class 61 and 76; holding the
+    # classes by size reads 12.9 and 36.0 (a list entry per class, and a
+    # set only of the 43,758 size-9 classes that the size-10 ones look up)
+    system = build()
     classes = sum(len(p.classes) for p in system.partitions)
     tracemalloc.start()
     try:
@@ -269,7 +278,80 @@ def test_verify_keeps_a_few_bytes_per_class():
     finally:
         tracemalloc.stop()
     assert report.valid
-    assert peak < 100 * classes, peak / classes
+    assert peak < per_class * classes, peak / classes
+
+
+def sized_system(n, k, class_lists):
+    return PartitionSystem(n, k, [Partition(n, classes, k) for classes in class_lists])
+
+
+def held_as(system):
+    """size -> "set", "sorted" (searched by bisection) or "list" (never looked up), as verify_sperner holds it."""
+    groups, lookups, _ = model._by_size([p.classes for p in system.partitions])
+    kinds = {}
+    for s, group in groups.items():
+        if isinstance(group, set):
+            kinds[s] = "set"
+        else:
+            kinds[s] = "sorted" if s in lookups else "list"
+    return kinds
+
+
+# seven (2, 2, 2, 2) partitions of 0..7 hold many size-2 classes; one
+# (1, 2, 2, 3) partition adds a size-3 class that holds one of them
+PAIRS_OF_8 = [
+    [[0, 1], [2, 3], [4, 5], [6, 7]],
+    [[0, 2], [1, 3], [4, 6], [5, 7]],
+    [[0, 3], [1, 2], [4, 7], [5, 6]],
+    [[0, 4], [1, 5], [2, 6], [3, 7]],
+    [[0, 5], [1, 4], [2, 7], [3, 6]],
+    [[0, 6], [1, 7], [2, 4], [3, 5]],
+    [[0, 7], [1, 6], [2, 5], [3, 4]],
+]
+
+
+@pytest.mark.parametrize(
+    "system, kinds",
+    [
+        pytest.param(
+            # {0} and {1, 2, 3, 4} repeat; each size is scanned, never looked up
+            sized_system(5, 2, [[[0], [1, 2, 3, 4]], [[0], [1, 2, 3, 4]], [[1], [0, 2, 3, 4]]]),
+            {1: "list", 4: "list"},
+            id="repeats-in-a-size-never-looked-up",
+        ),
+        pytest.param(
+            # {0} repeats, and the size-2 classes look the singletons up
+            sized_system(4, 3, [[[0], [1], [2, 3]], [[0], [2], [1, 3]]]),
+            {1: "set", 2: "list"},
+            id="repeats-in-a-looked-up-size",
+        ),
+        pytest.param(
+            # {0} < {0, 1} < {0, 1, 2} and {3, 4, 5} < {2, ..., 5} < {1, ..., 5}
+            sized_system(6, 2, [[[0], [1, 2, 3, 4, 5]], [[0, 1], [2, 3, 4, 5]], [[0, 1, 2], [3, 4, 5]]]),
+            {1: "list", 2: "list", 3: "list", 4: "list", 5: "list"},
+            id="chain-across-three-sizes",
+        ),
+        pytest.param(
+            # three size-3 lookups into 30 size-2 classes: bisection, no set
+            sized_system(8, 4, PAIRS_OF_8 + [[[0], [1, 2], [4, 5], [3, 6, 7]]]),
+            {1: "list", 2: "sorted", 3: "list"},
+            id="few-lookups-into-a-large-size",
+        ),
+        pytest.param(
+            # the last partition repeats the second
+            sized_system(4, 2, [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]], [[0, 2], [1, 3]]]),
+            {2: "list"},
+            id="single-size",
+        ),
+        pytest.param(PartitionSystem(5, 2, []), {}, id="empty"),
+    ],
+)
+def test_verify_matches_reference_on_each_way_of_holding_a_size(system, kinds):
+    assert held_as(system) == kinds
+    report = verify_sperner(system)
+    assert report == reference_verify(system)
+    assert report.violations == naive_verify(system)
+    assert report.valid == (not system.partitions)
 
 
 def test_verify_empty_system_builds_no_n_bit_mask():
