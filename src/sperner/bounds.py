@@ -12,11 +12,12 @@ class of another partition contains its element).
 
 The lower bounds come from one rule table and one dynamic program
 (derivation); construct.construct_auto builds its derivation over the
-rules that build a system, so the two cannot drift apart.  It carries
-numbers only: derivation and bounds_table word no value, and best_lower
-words just the chain it returns.  SP(n, 2) passes Python's 4300-digit
-int-to-str limit near n = 14,300, where sp_bounds needs its caller to
-lift the limit, as the CLI does.
+rules that build a system, so the two cannot drift apart.  A step links
+the step it grows, and the program holds the last k steps and their
+chains only.  It carries numbers only: derivation and bounds_table word
+no value, and best_lower words just the chain it returns.  SP(n, 2)
+passes Python's 4300-digit int-to-str limit near n = 14,300, where
+sp_bounds needs its caller to lift the limit, as the CLI does.
 """
 
 from __future__ import annotations
@@ -195,20 +196,20 @@ FIXTURES = {
 
 
 class Step(NamedTuple):
-    """One step of a lower-bound derivation: SP(n, k) >= value by rule; detail() words it."""
+    """One step of a lower-bound derivation: SP(n, k) >= value by rule, grown from prev; detail() words it."""
 
     n: int
     value: int
     rule: str
     detail: Callable[[], str]
-    prev: int | None  # the n' whose system this step grows, if any
+    prev: Step | None  # None for a base rule
 
 
 def _rules(
     n: int, k: int, steps: dict[int, Step], buildable: bool = False
-) -> Iterator[tuple[int, str, Callable[[], str], int | None]]:
+) -> Iterator[tuple[int, str, Callable[[], str], Step | None]]:
     """The rule table: (value, rule, detail, prev) of every rule that applies
-    at n, in order of preference, given the steps of every k <= n' < n.
+    at n, in order of preference, given the steps of max(k, n - k) <= n' < n.
 
     Each detail is a zero-argument callable that words its rule; the names
     it reads are bound once per call, so it words its own rule's value.
@@ -233,15 +234,15 @@ def _rules(
         yield 3 * k - 1, "rotational-3k1", lambda: f"rotational construction: 3k-1 = {3 * k - 1} partitions", None
     if n - k >= k:
         lifted = k * steps[n - k].value
-        yield lifted, "latin-lift", lambda: f"SP({n},{k}) >= {k} * SP({n - k},{k}) = {lifted}", n - k
+        yield lifted, "latin-lift", lambda: f"SP({n},{k}) >= {k} * SP({n - k},{k}) = {lifted}", steps[n - k]
     if n - 1 >= k:
         extended = steps[n - 1].value
-        yield extended, "extend", lambda: f"SP({n},{k}) >= SP({n - 1},{k}) = {extended}", n - 1
+        yield extended, "extend", lambda: f"SP({n},{k}) >= SP({n - 1},{k}) = {extended}", steps[n - 1]
     yield 1, "trivial", lambda: "a single k-partition", None
 
 
-def _steps(n: int, k: int, buildable: bool = False, first: str | None = None) -> dict[int, Step]:
-    """The dynamic program: the best step at every n' = k..n (see derivation)."""
+def _steps(n: int, k: int, buildable: bool = False, first: str | None = None) -> Iterator[Step]:
+    """The dynamic program, yielding the best step at each n' = k..n in turn (see derivation)."""
     steps: dict[int, Step] = {}
     for m in range(k, n + 1):
         options = _rules(m, k, steps, buildable)
@@ -251,7 +252,8 @@ def _steps(n: int, k: int, buildable: bool = False, first: str | None = None) ->
                 raise ValueError(f"rule {first} does not apply at SP({n},{k})")
         # max keeps the first of equal values, so the table order decides ties
         steps[m] = Step(m, *max(options, key=lambda option: option[0]))
-    return steps
+        steps.pop(m - k, None)  # the rules at n' > m read no step below m - k + 1
+        yield steps[m]
 
 
 def derivation(n: int, k: int, buildable: bool = False, first: str | None = None) -> list[Step]:
@@ -260,12 +262,13 @@ def derivation(n: int, k: int, buildable: bool = False, first: str | None = None
     A dynamic program over n' = k..n that takes, at each n', the first
     rule of the table with the largest value; with first, the top step at
     n is the best option of that rule (ValueError if it does not apply).
-    Requires k <= n.
+    The chain follows prev down from step n.  Requires k <= n.
     """
-    steps = _steps(n, k, buildable, first)
-    chain = [steps[n]]
+    for step in _steps(n, k, buildable, first):
+        pass
+    chain = [step]
     while chain[-1].prev is not None:
-        chain.append(steps[chain[-1].prev])
+        chain.append(chain[-1].prev)
     return chain
 
 
@@ -311,16 +314,13 @@ def sp_bounds(n: int, k: int) -> BoundResult:
 def bounds_table(k: int, max_n: int) -> list[tuple[int, int, int]]:
     """(n, lower, upper) for n = k..max_n, as sp_bounds gives them.
 
-    Every lower value comes from one pass of the dynamic program up to
-    max_n, so the table costs what its last row does.
+    Every lower value is read from one pass of the dynamic program up to
+    max_n as it runs, so the table costs what its last row does.
     """
     _check_positive(k, k)  # k < 1 raises here, as at sp_bounds' first row
-    if max_n < k:
-        return []
-    steps = _steps(max_n, k)
     rows = []
-    for n in range(k, max_n + 1):
-        lower, (upper, _) = steps[n].value, best_upper(n, k)
-        _checked(n, k, lower, upper)
-        rows.append((n, lower, upper))
+    for step in _steps(max_n, k):
+        upper, _ = best_upper(step.n, k)
+        _checked(step.n, k, step.value, upper)
+        rows.append((step.n, step.value, upper))
     return rows

@@ -315,8 +315,9 @@ def _by_size(rows: Sequence[Sequence[int]]) -> tuple[dict, dict, set[int]]:
     classes is held as a set, which has repeated classes when it is
     smaller than their count.  Every other size is a list sorted in place,
     so equal classes sit side by side and are found by comparing
-    neighbours; a size looked up fewer times is searched by bisection,
-    and one never looked up needs no more.
+    neighbours, as a set's repeats are in a sorted list of its size's
+    classes; a size looked up fewer times is searched by bisection, and
+    one never looked up needs no more.
     """
     classes = partial(chain.from_iterable, rows)
     counts = Counter(map(int.bit_count, classes()))
@@ -337,7 +338,8 @@ def _by_size(rows: Sequence[Sequence[int]]) -> tuple[dict, dict, set[int]]:
     for s, group in groups.items():
         if isinstance(group, set):
             if len(group) < counts[s]:
-                repeated.update(c for c, m in Counter(classes()).items() if m > 1)
+                same = sorted(c for c in classes() if c.bit_count() == s)
+                repeated.update(compress(same, map(eq, same, islice(same, 1, None))))
             continue
         group.sort()
         runs = set(compress(group, map(eq, group, islice(group, 1, None))))

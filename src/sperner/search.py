@@ -214,15 +214,15 @@ def _owners(keys: Iterable[Iterable], num: int) -> dict:
     return owners
 
 
-def _lattice(classes: Iterable[int]) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """(below, above) over the classes given, keyed in ascending size, for _conflicts.
+def _lattice(classes: Iterable[int]) -> dict[int, list[int]]:
+    """The lattice of the classes given, as below lists keyed in ascending size, for _conflicts.
 
     below[c] holds classes inside c from which every class inside c is
     reached by steps down: the classes c less one element, when each of
     those is a class, and otherwise every class properly inside c
     (model.containments).  A full candidate set holds every set in its
     size range, so there each step is one element and containments is
-    not run.  above[d] holds the c whose below holds d.
+    not run.
     """
     below: dict[int, list[int]] = {}
     loose = set()  # classes with a class inside them that no step reaches
@@ -238,34 +238,30 @@ def _lattice(classes: Iterable[int]) -> tuple[dict[int, list[int]], dict[int, li
         for sub, sup in containments(below):
             if sup in loose:
                 below[sup].append(sub)
-    above: dict[int, list[int]] = {c: [] for c in below}
-    for c, steps in below.items():
-        for d in steps:
-            above[d].append(c)
-    return below, above
+    return below
 
 
-def _conflicts(owners: dict[int, int], lattice: tuple[dict, dict]) -> dict[int, int]:
+def _conflicts(owners: dict[int, int], below: dict[int, list[int]]) -> dict[int, int]:
     """conflict[c]: the vertices holding class c or a present proper subset or superset of it.
 
     owners[c] are the vertices holding c (_owners).  Over the lattice
     (_lattice) of a superset of these classes, down[c] ORs the owners of
     every class inside c, smallest classes first, and up[c] of every class
-    around it, largest first; a class no vertex holds adds nothing.
+    around it, each class pushing its up mask to its below list, largest
+    first; a class no vertex holds adds nothing.
     """
-    below, above = lattice
     down: dict[int, int] = {}
     for c, steps in below.items():
         mask = owners.get(c, 0)
         for d in steps:
             mask |= down[d]
         down[c] = mask
-    up: dict[int, int] = {}
-    for c in reversed(above):
-        mask = owners.get(c, 0)
-        for d in above[c]:
-            mask |= up[d]
-        up[c] = mask
+    up = dict.fromkeys(below, 0)
+    up.update(owners)
+    for c in reversed(below):
+        if mask := up[c]:  # 0 for most classes of a small group's lattice
+            for d in below[c]:
+                up[d] |= mask
     return {c: down[c] | up[c] for c in owners}
 
 
@@ -288,7 +284,7 @@ class _StreamedRows:
     numbering, S's vertices); the caller drops them when done.
     """
 
-    def __init__(self, masks_list: list[tuple[int, ...]], lattice: tuple[dict, dict] | None = None):
+    def __init__(self, masks_list: list[tuple[int, ...]], lattice: dict[int, list[int]] | None = None):
         owners = _owners(masks_list, len(masks_list))
         self.masks_list, self.lattice = masks_list, _lattice(owners) if lattice is None else lattice
         self.conflict = _conflicts(owners, self.lattice)
@@ -303,7 +299,7 @@ class _StreamedRows:
         return rows, (1 << len(members)) - 1, members
 
 
-def _adjacency(masks_list: list[tuple[int, ...]], lattice: tuple[dict, dict] | None = None) -> tuple[int, ...]:
+def _adjacency(masks_list: list[tuple[int, ...]], lattice: dict[int, list[int]] | None = None) -> tuple[int, ...]:
     """One row per partition's class masks (_StreamedRows), all of them built and kept."""
     rows = _StreamedRows(masks_list, lattice)
     full, conflict = rows.full, rows.conflict
@@ -431,18 +427,14 @@ def _orbit_key(fixed: tuple[int, ...], classes: tuple[int, ...]) -> tuple[tuple[
     return tuple(sorted([tuple([(r & c).bit_count() for r in fixed]) for c in classes]))
 
 
-def _is_candidate_set(cand: PartitionSystem | None) -> bool:
-    """Whether cand is enumerate_partitions(n, k) in any order.
+def _is_candidate_set(n: int, k: int, rows: list[tuple[int, ...]]) -> bool:
+    """Whether rows, not empty, are the class masks of enumerate_partitions(n, k) in any order.
 
     Only that set is closed under relabeling the ground set, which the
     reduced search relies on.  The distinct k-partitions of {0..n-1} with
     classes of at least 2 elements number candidate_count(n, k), so that
     many distinct ones are all of them.
     """
-    if cand is None or not cand.partitions:
-        return False
-    n, k = cand.n, cand.k
-    rows = [p.classes for p in cand.partitions]
     return (
         len(rows) == candidate_count(n, k)  # first: it turns most other graphs away cheaply
         and min(row[0].bit_count() for row in rows) >= 2  # canonical order: smallest class first
@@ -683,8 +675,9 @@ def max_clique(
     """
     t0, deadline, target = _start(time_budget, target)
     cand = graph.candidates
-    if _is_candidate_set(cand):
-        outcome = _reduced_search(cand.n, cand.k, [p.classes for p in cand.partitions], target, deadline, t0)
+    rows = [] if cand is None else [p.classes for p in cand.partitions]
+    if rows and _is_candidate_set(cand.n, cand.k, rows):
+        outcome = _reduced_search(cand.n, cand.k, rows, target, deadline, t0)
     else:
         adj = graph.adj
         outcome = _clique_search([((1 << len(adj)) - 1, adj, None, None, None)], None, target, deadline, t0)

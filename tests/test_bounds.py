@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from math import comb, floor
 
@@ -192,7 +193,7 @@ def test_binomial_matches_comb_along_any_walk(moves, start):
 
 
 def reference_rules(n, k, steps, buildable=False):
-    """bounds._rules as it stood, with a math.comb of its own for the k2 rule."""
+    """bounds._rules as it stood, with a math.comb of its own for the k2 rule; prev is the step grown."""
     from sperner.bounds import FIXTURES, known_exact
 
     ke = None if buildable else known_exact(n, k)
@@ -212,10 +213,10 @@ def reference_rules(n, k, steps, buildable=False):
         yield 3 * k - 1, "rotational-3k1", f"rotational construction: 3k-1 = {3 * k - 1} partitions", None
     if n - k >= k:
         value = k * steps[n - k].value
-        yield value, "latin-lift", f"SP({n},{k}) >= {k} * SP({n - k},{k}) = {value}", n - k
+        yield value, "latin-lift", f"SP({n},{k}) >= {k} * SP({n - k},{k}) = {value}", steps[n - k]
     if n - 1 >= k:
         value = steps[n - 1].value
-        yield value, "extend", f"SP({n},{k}) >= SP({n - 1},{k}) = {value}", n - 1
+        yield value, "extend", f"SP({n},{k}) >= SP({n - 1},{k}) = {value}", steps[n - 1]
     yield 1, "trivial", "a single k-partition", None
 
 
@@ -226,12 +227,15 @@ def worded_reference_rules(n, k, steps, buildable=False):
 
 
 def bounds_outcomes(max_n):
-    """Every step, with its wording, and table row of k = 2..6 up to max_n, and every provenance."""
+    """Every step, with its wording, and table row of k = 2..6 up to max_n, and every provenance.
+
+    A step's prev is compared by its n: steps compare through their chains and detail callables.
+    """
     out = []
     for k in range(2, 7):
         for buildable in (False, True):
-            steps = bounds._steps(max_n, k, buildable=buildable).values()
-            out.append([(s.n, s.value, s.rule, s.detail(), s.prev) for s in steps])
+            steps = bounds._steps(max_n, k, buildable=buildable)
+            out.append([(s.n, s.value, s.rule, s.detail(), s.prev and s.prev.n) for s in steps])
         out.append(bounds_table(k, max_n))
         out.extend(sp_bounds(n, k) for n in range(k, max_n + 1))
     return out
@@ -257,6 +261,21 @@ def test_the_dynamic_program_words_no_value(int_digit_limit_640):
     assert plan_construction(2301, 2) == (comb(2300, 1149), ("k2",))
     (step,) = bounds.derivation(2301, 2)
     assert (step.value, step.rule) == (comb(2300, 1149), "known-exact")
+
+
+def test_a_derivation_holds_its_chain_and_no_value_per_n():
+    # the dynamic program drops each step once no rule reads it, so the
+    # derivation of (10000, 2), an extend of the k2 step at 9999, holds a
+    # few 3,000-digit values (0.007 MiB); one step per n' held 7.8 MiB
+    tracemalloc.start()
+    try:
+        chain = bounds.derivation(10000, 2, buildable=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(step.n, step.rule) for step in chain] == [(10000, "extend"), (9999, "k2")]
+    assert chain[0].value == chain[1].value == comb(9998, 4998)
+    assert peak < 2**20, peak
 
 
 def test_lower_above_upper_is_an_internal_error(monkeypatch):

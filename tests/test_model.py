@@ -260,7 +260,7 @@ def test_verify_matches_reference_on_fixtures_and_broken_systems():
 
 
 def verify_peak_per_class(system):
-    """verify_sperner's traced peak, in bytes per class of the system."""
+    """verify_sperner's report and traced peak, in bytes per class of the system."""
     classes = sum(len(p.classes) for p in system.partitions)
     tracemalloc.start()
     try:
@@ -268,15 +268,15 @@ def verify_peak_per_class(system):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.valid
-    return peak / classes
+    return report, peak / classes
 
 
 def test_verify_keeps_a_few_bytes_per_class():
     # 10,740 classes.  A class -> locations map costs over 200 bytes per
     # class and one set of every class 61; holding the classes by size
     # reads 12.9 (a list entry per class)
-    per_class = verify_peak_per_class(construct_3k1(60))
+    report, per_class = verify_peak_per_class(construct_3k1(60))
+    assert report.valid
     assert per_class < 20, per_class
 
 
@@ -284,8 +284,22 @@ def test_verify_keeps_a_few_bytes_per_class_of_a_large_k2_system():
     # 87,516 classes.  One set of every class costs 76 bytes per class;
     # holding the classes by size reads 36.0 (a list entry per class, and a
     # set only of the 43,758 size-9 classes that the size-10 ones look up)
-    per_class = verify_peak_per_class(construct_k2(19))
+    report, per_class = verify_peak_per_class(construct_k2(19))
+    assert report.valid
     assert per_class < 45, per_class
+
+
+def test_verify_keeps_a_few_bytes_per_class_of_a_repeated_partition():
+    # construct_k2(19) and its first partition again: the size-9 set is
+    # one class short, and its repeat is found in a sorted list of the
+    # 43,759 size-9 classes, 44.0 bytes per class; counting every class of
+    # the system took 121.9
+    system = construct_k2(19)
+    system = PartitionSystem(system.n, system.k, [*system.partitions, system.partitions[0]])
+    report, per_class = verify_peak_per_class(system)
+    assert report == reference_verify(system)
+    assert len(report.violations) == 4
+    assert per_class < 60, per_class
 
 
 def sized_system(n, k, class_lists):
