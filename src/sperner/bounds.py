@@ -204,6 +204,11 @@ class Step(NamedTuple):
     detail: Callable[[], str]
     prev: Step | None  # None for a base rule
 
+    def __repr__(self) -> str:
+        # prev by its n: the chain below may be thousands of steps deep
+        prev = None if self.prev is None else f"<Step n={self.prev.n}>"
+        return f"Step(n={self.n}, value={self.value}, rule={self.rule!r}, detail={self.detail!r}, prev={prev})"
+
 
 def _rules(
     n: int, k: int, steps: dict[int, Step], buildable: bool = False

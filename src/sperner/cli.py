@@ -47,22 +47,7 @@ _METHODS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that exits 64 on a usage error.
-
-    A subcommand's parser takes its arguments from a function
-    (arguments=), called when argparse first hands that parser a command
-    line, so a process adds only the arguments of the subcommand it runs.
-    """
-
-    def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._arguments:
-            add, self._arguments = self._arguments, None
-            add(self)
-        return super().parse_known_args(args, namespace)
+    """An argument parser that exits 64 on a usage error."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -73,15 +58,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sperner", description="Sperner k-partition systems toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("construct", help="build a system for (n, k)", arguments=_construct_arguments)
-    sub.add_parser("verify", help="verify a system document", arguments=_verify_arguments)
-    sub.add_parser("bounds", help="best-known bounds for SP(n, k)", arguments=_bounds_arguments)
-    sub.add_parser("search", help="exhaustive maximum-system search", arguments=_search_arguments)
-    sub.add_parser("fixtures", help="bundled reference systems", arguments=_fixtures_arguments)
-    return parser
 
-
-def _construct_arguments(c: _Parser) -> None:
+    c = sub.add_parser("construct", help="build a system for (n, k)")
+    c.set_defaults(handler=_cmd_construct)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
     c.add_argument(
@@ -93,20 +72,20 @@ def _construct_arguments(c: _Parser) -> None:
     c.add_argument("-o", "--output", help="write the document here instead of stdout")
     c.add_argument("--format", choices=["text", "json"], default="text")
 
-
-def _verify_arguments(v: _Parser) -> None:
+    v = sub.add_parser("verify", help="verify a system document")
+    v.set_defaults(handler=_cmd_verify)
     v.add_argument("file")
     v.add_argument("--report", action="store_true", help="list every violation")
 
-
-def _bounds_arguments(b: _Parser) -> None:
+    b = sub.add_parser("bounds", help="best-known bounds for SP(n, k)")
+    b.set_defaults(handler=_cmd_bounds)
     b.add_argument("--n", type=int)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--table", action="store_true", help="print a table for n = k..max-n")
     b.add_argument("--max-n", type=int, dest="max_n")
 
-
-def _search_arguments(s: _Parser) -> None:
+    s = sub.add_parser("search", help="exhaustive maximum-system search")
+    s.set_defaults(handler=_cmd_search)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--time-limit", type=float, dest="time_limit")
@@ -120,17 +99,16 @@ def _search_arguments(s: _Parser) -> None:
     s.add_argument("-o", "--output", help="write the best system found to this file")
     s.add_argument("--format", choices=["text", "json"], default="text")
 
-
-def _fixtures_arguments(f: _Parser) -> None:
+    f = sub.add_parser("fixtures", help="bundled reference systems")
+    f.set_defaults(handler=_cmd_fixtures)
     fsub = f.add_subparsers(dest="fixtures_command", required=True)
     fsub.add_parser("list", help="list bundled systems")
-    fsub.add_parser("emit", help="write one bundled system", arguments=_emit_arguments)
-
-
-def _emit_arguments(fe: _Parser) -> None:
+    fe = fsub.add_parser("emit", help="write one bundled system")
     fe.add_argument("name")
     fe.add_argument("-o", "--output")
     fe.add_argument("--format", choices=["text", "json"], default="text")
+
+    return parser
 
 
 def _write(stream, chunks: Iterable[str], encoding: str, errors: str = "strict") -> None:
@@ -280,13 +258,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
-    handlers = {
-        "construct": _cmd_construct,
-        "verify": _cmd_verify,
-        "bounds": _cmd_bounds,
-        "search": _cmd_search,
-        "fixtures": _cmd_fixtures,
-    }
     # SP(n, 2) passes the 4300-digit int-to-str limit near n = 14,300: lift it
     # (0) but for verify, whose reader refuses a longer token, and restore the
     # caller's, as main also runs in-process.  Python before 3.10.7 has none.
@@ -295,7 +266,7 @@ def main(argv=None) -> int:
     if args.command != "verify":
         set_limit(0)
     try:
-        code, out = handlers[args.command](args)
+        code, out = args.handler(args)
     except ValueError as exc:  # a refused argument
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -1,20 +1,23 @@
 """Witness-producing constructions for Sperner partition systems.
 
-Every function returns a PartitionSystem that has already been checked by
-verify_sperner; a verification failure is an internal error, never a
-silent result.  The rotational families cover n = 2k+1 (k even),
-n = 2k+2 (k >= 3) and n = 3k-1 (k >= 4); construct_k2 covers k = 2 with
-odd n; latin_lift and extend_by_one grow existing systems.
+Every function returns a PartitionSystem that verify_sperner has checked
+once; a verification failure is an internal error, never a silent result.
+construct_auto checks its base as it is built and a grown system once, at
+the top of its route, not after each step.  The rotational families cover
+n = 2k+1 (k even), n = 2k+2 (k >= 3) and n = 3k-1 (k >= 4); construct_k2
+covers k = 2 with odd n; latin_lift and extend_by_one grow existing
+systems.
 """
 
 from __future__ import annotations
 
+from bisect import insort_left
 from itertools import combinations, pairwise
 from math import log10
 
 from .bounds import FIXTURES, Step, derivation
 from .fixtures import load_fixture
-from .model import Partition, PartitionSystem, verify_sperner
+from .model import Partition, PartitionSystem, _class_key, verify_sperner
 from .rotation import InitialPartition, develop, solve_initial_2k1
 
 __all__ = [
@@ -129,7 +132,7 @@ def latin_lift(base: PartitionSystem) -> PartitionSystem:
     from different rows never contain one another.
     """
     _require_sperner(base)
-    return _lift(base)
+    return _verified(_lift(base))
 
 
 def _lift(base: PartitionSystem) -> PartitionSystem:
@@ -141,7 +144,7 @@ def _lift(base: PartitionSystem) -> PartitionSystem:
             masks = [c | (1 << (base.n + (i + j) % k)) for j, c in enumerate(p.classes)]
             parts.append(Partition(n, masks, k))
     name = f"latin_lift({base.name or f'{base.n},{base.k}'})"
-    return _verified(PartitionSystem(n, k, parts, name=name))
+    return PartitionSystem(n, k, parts, name=name)
 
 
 def extend_by_one(base: PartitionSystem) -> PartitionSystem:
@@ -154,18 +157,19 @@ def extend_by_one(base: PartitionSystem) -> PartitionSystem:
     fresh element can also hide a containment the base already had.
     """
     _require_sperner(base)
-    return _extend(base)
+    return _verified(_extend(base))
 
 
 def _extend(base: PartitionSystem) -> PartitionSystem:
-    n = base.n + 1
+    n, k, fresh = base.n + 1, base.k, 1 << base.n
     parts = []
     for p in base.partitions:
-        masks = list(p.classes)
-        masks[0] |= 1 << base.n
-        parts.append(Partition(n, masks, base.k))
+        # only the grown first class moves in the canonical order
+        first, *rest = p.classes
+        insort_left(rest, first | fresh, key=_class_key)
+        parts.append(Partition._from_canonical(n, k, tuple(rest)))
     name = f"extend_by_one({base.name or f'{base.n},{base.k}'})"
-    return _verified(PartitionSystem(n, base.k, parts, name=name))
+    return PartitionSystem(n, k, parts, name=name)
 
 
 def _trivial_system(n: int, k: int) -> PartitionSystem:
@@ -240,7 +244,8 @@ def construct_auto(n: int, k: int, first: str | None = None) -> PartitionSystem:
     """Build the largest system the implemented constructions guarantee for (n, k).
 
     Builds the buildable bounds.derivation from the bottom up: its last
-    step's base rule, then each latin-lift or extend above it.  first
+    step's base rule, then each latin-lift or extend above it, and
+    verifies the grown system once, at the top.  first
     forces the top step of the route.  A forced direct construction keeps
     its own name; any other result is named first(n,k) or auto(n,k).
     Plans above MAX_PARTITIONS raise ValueError.
@@ -255,6 +260,8 @@ def construct_auto(n: int, k: int, first: str | None = None) -> PartitionSystem:
     system = _BASES[base.rule](base.n, k)
     for step in reversed(chain[:-1]):
         system = _lift(system) if step.rule == "latin-lift" else _extend(system)
+    if len(chain) > 1:
+        _verified(system)
     if first is None or len(chain) > 1:
         system = system.with_name(f"{first or 'auto'}({n},{k})")
     if len(system) != size or system.n != n or system.k != k:

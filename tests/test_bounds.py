@@ -278,6 +278,16 @@ def test_a_derivation_holds_its_chain_and_no_value_per_n():
     assert peak < 2**20, peak
 
 
+def test_a_step_names_the_step_below_by_its_n():
+    # (3000, 1200) is 599 steps; a repr nesting the chain below ran past
+    # the recursion limit
+    top, below = bounds.derivation(3000, 1200)[:2]
+    text = repr(top)
+    assert text.startswith(f"Step(n=3000, value={top.value}, rule='extend', detail=<function ")
+    assert text.endswith(f", prev=<Step n={below.n}>)")
+    assert repr(bounds.derivation(7, 3)[-1]).endswith(", prev=None)")
+
+
 def test_lower_above_upper_is_an_internal_error(monkeypatch):
     # a cited SP(7,3) = 4 would put the bundled 5-partition fig-7-3 above it
     monkeypatch.setitem(bounds._COMPUTER_SEARCHES, (7, 3), (4, "a wrong citation"))

@@ -23,6 +23,18 @@ from sperner import (
 )
 
 
+def verified_sizes(monkeypatch):
+    """The sizes of the systems construct verifies from here on, in order."""
+    sizes = []
+
+    def counting_verify(system):
+        sizes.append(len(system))
+        return verify_sperner(system)
+
+    monkeypatch.setattr(sperner.construct, "verify_sperner", counting_verify)
+    return sizes
+
+
 def assert_valid(system):
     report = verify_sperner(system)
     assert report.valid, report.violations[:5]
@@ -255,18 +267,17 @@ class TestAuto:
                 plan_construction(n, 4, first=first)
 
     def test_chained_route_verifies_each_system_once(self, monkeypatch):
-        import sperner.construct
-
-        sizes = []
-
-        def counting_verify(system):
-            sizes.append(len(system))
-            return verify_sperner(system)
-
-        monkeypatch.setattr(sperner.construct, "verify_sperner", counting_verify)
+        sizes = verified_sizes(monkeypatch)
         assert plan_construction(39, 8)[1] == ("latin-lift", "latin-lift", "rotational-3k1")
         construct_auto(39, 8)
-        assert sizes == [23, 184, 1472]
+        assert sizes == [23, 1472]
+
+    def test_an_extend_run_verifies_its_base_and_its_top_once(self, monkeypatch):
+        # 20 extends of construct_2k2(25) on 52 elements, none verified between the base and the top
+        sizes = verified_sizes(monkeypatch)
+        assert plan_construction(72, 25)[1] == ("extend",) * 20 + ("rotational-2k2",)
+        assert len(construct_auto(72, 25)) == 51
+        assert sizes == [51, 51]
 
     def test_plan_meets_lower_bound_unless_known_exact(self):
         # The planner runs the lower-bound program without the known-exact
