@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sperner import load_fixture, parse, serialize, verify_sperner
-from sperner.cli import main
+from sperner.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -826,6 +826,24 @@ def pinned_text(argv):
 @pytest.mark.parametrize("argv", list(CLI_TEXTS), ids=" ".join)
 def test_help_usage_and_error_texts_are_pinned(monkeypatch, capsys, argv):
     assert run_at_80_columns(monkeypatch, capsys, argv) == pinned_text(argv)
+
+
+def eager_parser_texts(monkeypatch, capsys, argv):
+    """The exit code, stdout and stderr of the CLI's parser run on argv by itself, without main."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(list(argv))
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+# main builds the parser, every subcommand's arguments with it, and passes
+# its help, usage and error texts and exit code on unchanged
+@pytest.mark.parametrize("argv", list(CLI_TEXTS), ids=" ".join)
+def test_lazy_arguments_give_the_texts_of_an_eager_parser(monkeypatch, capsys, argv):
+    texts = run_at_80_columns(monkeypatch, capsys, argv)
+    assert texts == eager_parser_texts(monkeypatch, capsys, argv)
+    assert texts[1:] != ("", "")
 
 
 @pytest.mark.parametrize(
