@@ -14,10 +14,11 @@ The lower bounds come from one rule table and one dynamic program
 (derivation); construct.construct_auto builds its derivation over the
 rules that build a system, so the two cannot drift apart.  A step links
 the step it grows, and the program holds the last k steps and their
-chains only.  It carries numbers only: derivation and bounds_table word
-no value, and best_lower words just the chain it returns.  SP(n, 2)
-passes Python's 4300-digit int-to-str limit near n = 14,300, where
-sp_bounds needs its caller to lift the limit, as the CLI does.
+chains only; bounds_table yields each row as the program reaches it.
+It carries numbers only: derivation and bounds_table word no value, and
+best_lower words just the chain it returns.  SP(n, 2) passes Python's
+4300-digit int-to-str limit near n = 14,300, where sp_bounds needs its
+caller to lift the limit, as the CLI does.
 """
 
 from __future__ import annotations
@@ -301,11 +302,12 @@ def best_lower(n: int, k: int) -> tuple[int, Provenance]:
     return chain[0].value, tuple(provenance)
 
 
-def _checked(n: int, k: int, lower: int, upper: int) -> None:
+def _checked(n: int, k: int, lower: int, upper: int) -> int:
     if lower > upper:
         raise RuntimeError(
             f"internal error: lower bound {lower} exceeds upper bound {upper} for ({n},{k})"
         )
+    return upper
 
 
 def sp_bounds(n: int, k: int) -> BoundResult:
@@ -316,16 +318,14 @@ def sp_bounds(n: int, k: int) -> BoundResult:
     return BoundResult(n, k, lower, upper, lower_prov, upper_prov)
 
 
-def bounds_table(k: int, max_n: int) -> list[tuple[int, int, int]]:
-    """(n, lower, upper) for n = k..max_n, as sp_bounds gives them.
+def bounds_table(k: int, max_n: int) -> Iterator[tuple[int, int, int]]:
+    """(n, lower, upper) for n = k..max_n, as sp_bounds gives them, yielded in turn.
 
     Every lower value is read from one pass of the dynamic program up to
     max_n as it runs, so the table costs what its last row does.
     """
-    _check_positive(k, k)  # k < 1 raises here, as at sp_bounds' first row
-    rows = []
-    for step in _steps(max_n, k):
-        upper, _ = best_upper(step.n, k)
-        _checked(step.n, k, step.value, upper)
-        rows.append((step.n, step.value, upper))
-    return rows
+    _check_positive(k, k)  # k < 1 raises at the call, before any row, as at sp_bounds' first row
+    return (
+        (step.n, step.value, _checked(step.n, k, step.value, best_upper(step.n, k)[0]))
+        for step in _steps(max_n, k)
+    )

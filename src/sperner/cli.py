@@ -5,12 +5,12 @@ stable: 0 success, 1 parse error or stdout output that could not be
 delivered (the reader closed the pipe, or the process started without
 stdout), 2 invalid system, 3 search budget exhausted, 64 usage error (an
 -o path that cannot be written is one).  Result output goes to stdout and
-is byte-stable across runs; timing diagnostics go to stderr.  Each handler
+is byte-stable across runs; timing diagnostics go to stderr.  Every handler
 returns its exit code and its stdout text as chunks, and `main` alone
-writes stdout, a chunk at a time: a document is rendered as it is written
-(formats._chunks), so no command holds the whole of one.
-It prints a handler's ValueError as `error: ...` with exit 64, and runs
-every handler but verify's with Python's int-to-str digit limit lifted.
+writes stdout, a chunk at a time: a document (formats._chunks) or a bounds
+table is rendered as it is written, so no command holds all its output.
+It prints a handler's ValueError as `error: ...` with exit 64.  But for
+verify, Python's int-to-str digit limit stays lifted through the write.
 Each handler imports the modules it runs, so a process loads only what
 its subcommand needs: bounds loads only the bounds module, and construct
 and verify never load the search.
@@ -198,22 +198,23 @@ def _cmd_bounds(args) -> tuple[int, Iterable[str]]:
     from .bounds import bounds_table, sp_bounds
 
     k = args.k
-    if args.table and args.max_n is None:
-        raise ValueError("--table requires --max-n")
-    if not args.table and args.n is None:
-        raise ValueError("--n is required without --table")
+    if args.table != (args.max_n is not None):
+        raise ValueError("--table requires --max-n" if args.table else "--max-n requires --table")
+    if args.table == (args.n is not None):
+        raise ValueError("--table takes no --n" if args.table else "--n is required without --table")
     if args.table:
-        lines = [f"{'n':>4} {'k':>4} {'lower':>12} {'upper':>12}  status"]
-        for n, lower, upper in bounds_table(k, args.max_n):
-            status = "exact" if lower == upper else "open"
-            lines.append(f"{n:>4} {k:>4} {lower:>12} {upper:>12}  {status}")
+        rows = bounds_table(k, args.max_n)  # refuses k < 1 here; each row comes as main writes
+        lines = chain(
+            [f"{'n':>4} {'k':>4} {'lower':>12} {'upper':>12}  status"],
+            (f"{n:>4} {k:>4} {lo:>12} {up:>12}  {'exact' if lo == up else 'open'}" for n, lo, up in rows),
+        )
     else:
         result = sp_bounds(args.n, k)
         status = "exact" if result.exact else "open"
         lines = [f"SP({args.n},{k}): lower {result.lower}, upper {result.upper} ({status})"]
         lines += (f"  lower <- {rule}: {detail}" for rule, detail in result.lower_provenance)
         lines += (f"  upper <- {rule}: {detail}" for rule, detail in result.upper_provenance)
-    return EX_OK, ["".join(f"{line}\n" for line in lines)]
+    return EX_OK, (f"{line}\n" for line in lines)
 
 
 def _cmd_search(args) -> tuple[int, Iterable[str]]:
@@ -259,8 +260,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     # SP(n, 2) passes the 4300-digit int-to-str limit near n = 14,300: lift it
-    # (0) but for verify, whose reader refuses a longer token, and restore the
-    # caller's, as main also runs in-process.  Python before 3.10.7 has none.
+    # (0) but for verify, whose reader refuses a longer token, until the output
+    # is written, as a table's rows are rendered during the write; then restore
+    # the caller's, as main also runs in-process.  Python before 3.10.7 has none.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     if args.command != "verify":
@@ -270,32 +272,30 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a refused argument
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    else:
+        out = iter(out)
+        first = next(out, None)
+        if first is None:  # nothing to print
+            return code
+        if sys.stdout is None:  # the process started without stdout, so the output goes nowhere
+            return EX_PARSE
+        chunks = chain([first], out)
+        try:
+            if not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
+                sys.stdout.writelines(chunks)
+                return code
+            sys.stdout.flush()
+            # bytes: the text layer drops the rest of a short write to an unbuffered stdout
+            _write(sys.stdout.buffer, chunks, sys.stdout.encoding, sys.stdout.errors)
+            sys.stdout.buffer.flush()
+        except BrokenPipeError:
+            # The reader closed stdout.  Point it at devnull, as the Python docs
+            # advise, so the flush at interpreter exit cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EX_PARSE
+        return code
     finally:
         set_limit(limit)
-    # A document's chunks are rendered from here on, with the caller's limit
-    # back: they hold only element labels of a few digits each, and the
-    # header is made when the handler asks for the document.
-    out = iter(out)
-    first = next(out, None)
-    if first is None:  # nothing to print
-        return code
-    if sys.stdout is None:  # the process started without stdout, so the output goes nowhere
-        return EX_PARSE
-    chunks = chain([first], out)
-    try:
-        if not hasattr(sys.stdout, "buffer"):  # a text-only stream, such as io.StringIO
-            sys.stdout.writelines(chunks)
-            return code
-        sys.stdout.flush()
-        # bytes: the text layer drops the rest of a short write to an unbuffered stdout
-        _write(sys.stdout.buffer, chunks, sys.stdout.encoding, sys.stdout.errors)
-        sys.stdout.buffer.flush()
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull, as the Python docs
-        # advise, so the flush at interpreter exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EX_PARSE
-    return code
 
 
 if __name__ == "__main__":

@@ -165,8 +165,8 @@ def test_bounds_table_matches_sp_bounds():
         for n in range(k, 61):
             result = sp_bounds(n, k)
             expected.append((n, result.lower, result.upper))
-        assert bounds_table(k, 60) == expected, k
-    assert bounds_table(5, 4) == []
+        assert list(bounds_table(k, 60)) == expected, k
+    assert list(bounds_table(5, 4)) == []
 
 
 def test_exact_cases():
@@ -236,7 +236,7 @@ def bounds_outcomes(max_n):
         for buildable in (False, True):
             steps = bounds._steps(max_n, k, buildable=buildable)
             out.append([(s.n, s.value, s.rule, s.detail(), s.prev and s.prev.n) for s in steps])
-        out.append(bounds_table(k, max_n))
+        out.append(list(bounds_table(k, max_n)))
         out.extend(sp_bounds(n, k) for n in range(k, max_n + 1))
     return out
 
@@ -257,7 +257,7 @@ def test_the_dynamic_program_words_no_value(int_digit_limit_640):
     # SP(2300,2) and SP(2301,2) have 691 digits, past the 640 the test allows
     from sperner import plan_construction
 
-    assert bounds_table(2, 2300)[-1] == (2300, comb(2299, 1149), comb(2299, 1149))
+    assert list(bounds_table(2, 2300))[-1] == (2300, comb(2299, 1149), comb(2299, 1149))
     assert plan_construction(2301, 2) == (comb(2300, 1149), ("k2",))
     (step,) = bounds.derivation(2301, 2)
     assert (step.value, step.rule) == (comb(2300, 1149), "known-exact")
@@ -278,6 +278,21 @@ def test_a_derivation_holds_its_chain_and_no_value_per_n():
     assert peak < 2**20, peak
 
 
+def test_a_table_holds_no_row_it_has_yielded():
+    # bounds_table(2, 10000) yields rows of up to 3,000 digits each; the
+    # program holds its last two steps, and the rows walked past are freed
+    # (0.19 MiB), where a list of every row took 14.4 MiB
+    tracemalloc.start()
+    try:
+        for n, lower, upper in bounds_table(2, 10000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (n, lower, upper) == (10000, comb(9999, 4999), comb(9999, 4999))
+    assert peak < 2**20, peak
+
+
 def test_a_step_names_the_step_below_by_its_n():
     # (3000, 1200) is 599 steps; a repr nesting the chain below ran past
     # the recursion limit
@@ -292,7 +307,7 @@ def test_lower_above_upper_is_an_internal_error(monkeypatch):
     # a cited SP(7,3) = 4 would put the bundled 5-partition fig-7-3 above it
     monkeypatch.setitem(bounds._COMPUTER_SEARCHES, (7, 3), (4, "a wrong citation"))
     message = "internal error: lower bound 5 exceeds upper bound 4 for (7,3)"
-    for call in (lambda: sp_bounds(7, 3), lambda: bounds_table(3, 7)):
+    for call in (lambda: sp_bounds(7, 3), lambda: list(bounds_table(3, 7))):
         with pytest.raises(RuntimeError, match=re.escape(message)):
             call()
 

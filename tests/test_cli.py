@@ -253,6 +253,20 @@ def test_bounds_requires_n_without_table(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("--n", "5", "--k", "3", "--table", "--max-n", "6"), "error: --table takes no --n\n"),
+        (("--n", "5", "--k", "3", "--max-n", "6"), "error: --max-n requires --table\n"),
+        (("--k", "3", "--max-n", "6"), "error: --max-n requires --table\n"),
+    ],
+    ids=["n-with-table", "max-n-without-table", "max-n-alone"],
+)
+def test_bounds_refuses_an_option_it_would_ignore(capsys, argv, error):
+    # --n says nothing to a table and --max-n nothing to one (n, k)
+    assert run(capsys, "bounds", *argv) == (64, "", error)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--n", "0", "--k", "3"),
@@ -524,6 +538,10 @@ def test_only_bounds_lifts_the_int_digit_limit(capsys, tmp_path, int_digit_limit
     code, out, _ = run(capsys, "bounds", "--n", "2300", "--k", "2")
     assert code == 0 and out.startswith(f"SP(2300,2): lower {SP_2300_2}, ")
     # main also runs in-process, so the caller's limit is restored
+    assert sys.get_int_max_str_digits() == 640
+    # a table's rows are rendered as main writes them, with the limit still lifted
+    code, out, _ = run(capsys, "bounds", "--k", "2", "--table", "--max-n", "2300")
+    assert code == 0 and out.splitlines()[-1].split() == ["2300", "2", SP_2300_2, SP_2300_2, "exact"]
     assert sys.get_int_max_str_digits() == 640
     document = tmp_path / "long-token.txt"
     document.write_text("2 2 1\n0|" + "1" * 5000 + "\n", encoding="utf-8")
